@@ -1,11 +1,10 @@
-"""Pure-Python row/column reduction kernel.
+"""Dense row/column reduction of the block that sparse elimination leaves.
 
-This is the fallback implementation behind intlinalg.smith_normal_form.
-The compiled extension tracehom._snf_core implements the same contract
-with an int64 fast path and is preferred at import time when available.
+intlinalg.smith_normal_form removes every unit pivot it can find on the
+sparse entries and hands what remains here.  This kernel pivots on the
+entry of least absolute value in the active block, so it also copes
+with blocks that hold no +-1 entry at all.
 """
-
-KERNEL_NAME = "python"
 
 
 def _min_abs_pivot(m, t, nr, nc):

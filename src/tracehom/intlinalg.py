@@ -9,12 +9,11 @@ and must not overflow.
 from dataclasses import dataclass
 from math import gcd
 
-try:
-    from . import _snf_core as _kernel
-except ImportError:  # extension not built
-    from . import _snf_py as _kernel
+from ._snf_py import diagonalize
 
-KERNEL_NAME = _kernel.KERNEL_NAME
+#: the one SNF kernel: sparse unit-pivot elimination in pure Python,
+#: with dense reduction of what it leaves
+KERNEL_NAME = "python"
 
 
 class ShapeError(ValueError):
@@ -143,51 +142,55 @@ def _divisor_chain(values):
 def smith_normal_form(m):
     """Smith normal form of an IntegerMatrix, as an SNFResult.
 
-    Classic reduction: the pivot is the nonzero entry of minimal absolute
-    value, ties broken by lowest (row, col).
+    Sparse elimination first: the columns are swept in order, and in
+    each one a +-1 entry in the shortest row becomes the pivot.  Row
+    operations clear the rest of its column; the pivot row and column
+    then drop out with an invariant factor of 1.  Columns without a unit
+    entry are left alone, and the block of rows and columns that is
+    still nonzero at the end goes to the dense kernel, which pivots on
+    the entry of least absolute value.  ``m`` is not modified.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     SNFResult(invariant_factors=(2, 4))
     """
     if m.rows == 0 or m.cols == 0 or not m.entries:
         return SNFResult(())
-    diag = _kernel.diagonalize(m.to_rows())
-    return SNFResult(tuple(_divisor_chain(diag)))
-
-
-def _factor(n):
-    # trial division; factors seen here are desk-scale
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _chain_from_primary(powers):
-    # powers: list of (prime, exponent) with multiplicity.  Align the
-    # largest exponent of every prime into the last invariant factor.
-    buckets = {}
-    for p, e in powers:
-        buckets.setdefault(p, []).append(e)
-    depth = 0
-    for exps in buckets.values():
-        exps.sort(reverse=True)
-        depth = max(depth, len(exps))
-    factors = []
-    for slot in range(depth):
-        f = 1
-        for p, exps in buckets.items():
-            if slot < len(exps):
-                f *= p ** exps[slot]
-        factors.append(f)
-    factors.reverse()
-    return tuple(factors)
+    rows = {}
+    cols = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, set()).add(i)
+    units = 0
+    for j in sorted(cols):
+        col = cols[j]
+        pivot = min((i for i in col if rows[i][j] in (1, -1)),
+                    key=lambda i: (len(rows[i]), i), default=None)
+        if pivot is None:
+            continue
+        prow = rows.pop(pivot)
+        sign = prow.pop(j)
+        col.discard(pivot)
+        for k in prow:
+            cols[k].discard(pivot)
+        for i in col:
+            # row_i -= f * row_pivot, with f chosen to zero entry (i, j)
+            row = rows[i]
+            f = row.pop(j) * sign
+            for k, v in prow.items():
+                w = row.get(k, 0) - f * v
+                if w:
+                    if k not in row:
+                        cols[k].add(i)
+                    row[k] = w
+                else:
+                    del row[k]
+                    cols[k].discard(i)
+        del cols[j]
+        units += 1
+    left_cols = sorted(j for j, col in cols.items() if col)
+    left = [[rows[i].get(j, 0) for j in left_cols]
+            for i in sorted(rows) if rows[i]]
+    return SNFResult((1,) * units + tuple(_divisor_chain(diagonalize(left))))
 
 
 class AbelianGroup:
@@ -209,17 +212,12 @@ class AbelianGroup:
     def __init__(self, free_rank=0, torsion=()):
         if free_rank < 0:
             raise ValueError(f"negative free rank {free_rank}")
-        powers = []
-        for d in torsion:
-            d = int(d)
+        factors = [int(d) for d in torsion]
+        for d in factors:
             if d < 1:
                 raise ValueError(f"torsion factor {d} < 1")
-            if d == 1:
-                continue
-            for p, e in _factor(d).items():
-                powers.append((p, e))
         self.free_rank = int(free_rank)
-        self.torsion = _chain_from_primary(powers)
+        self.torsion = tuple(d for d in _divisor_chain(factors) if d > 1)
 
     @property
     def is_trivial(self):

@@ -15,6 +15,7 @@ from helpers import (bareiss_rank, random_alphabet, random_matrix,
                      random_mset, relabel_elements, shuffle_generators)
 
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
+                               enumerate_cliques,
                                max_clique_size)
 from tracehom.chains import DELTA, PUNCTURED, SYSTEMS, build_complex, homology
 from tracehom.intlinalg import AbelianGroup, smith_normal_form
@@ -163,3 +164,27 @@ def test_criterion_8_property_suites():
                 reference = homology(m, system)
                 assert homology(relabeled, system) == reference
                 assert homology(shuffled, system) == reference
+
+
+def test_criterion_9_midsize_fan_regression():
+    with criterion("sd2(RP2) under a fan of four points", budget=10.0):
+        sd1 = barycentric_flagification(RP2_TRIANGLES)
+        alpha = barycentric_flagification(enumerate_cliques(sd1, 3))
+        fan = full_action_from_successor(
+            alpha, {f"x{k}": BASEPOINT for k in range(4)})
+        # Frozen answers, not computed by the engine.  The schema sd2(RP2)
+        # has the reduced homology of RP2, Z/2 in degree 1 only.  By main,
+        # H_s(delta) = 4 * H~_{s-1}(schema) + Z^{p_s}; by split the
+        # punctured group is that minus Z^{p_s}, for s >= 1.
+        counts = [1, 181, 540, 360]
+        schema_below = [ZERO, ZERO, AbelianGroup(0, (2,)), ZERO]
+        delta = [4 * schema_below[s] + AbelianGroup(counts[s])
+                 for s in range(4)]
+        punctured = [4 * schema_below[s] for s in range(1, 4)]
+        assert [str(g) for g in delta] == \
+            ["Z", "Z^181", "Z^540 + Z/2 + Z/2 + Z/2 + Z/2", "Z^360"]
+        assert [str(g) for g in punctured] == \
+            ["0", "Z/2 + Z/2 + Z/2 + Z/2", "0"]
+        assert clique_counts(alpha) == counts
+        assert homology(fan, DELTA) == delta
+        assert homology(fan, PUNCTURED)[1:] == punctured

@@ -1,9 +1,12 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import bareiss_rank, determinantal_factors, random_matrix
 
-from tracehom import intlinalg
+from tracehom import _snf_py, intlinalg
 from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
                                 IntegerMatrix, ShapeError, SNFResult,
                                 direct_sum, homology_of_pair,
@@ -150,32 +153,107 @@ def test_snf_result_validates_chain():
         SNFResult((0,))
 
 
-# --- kernel parity -------------------------------------------------------
+# --- sparse elimination against the dense kernel and the oracles ---------
+
+def dense_snf(m):
+    """Invariant factors from the dense kernel alone, skipping the
+    sparse elimination that smith_normal_form runs first."""
+    return tuple(intlinalg._divisor_chain(_snf_py.diagonalize(m.to_rows())))
+
+
+def random_sparse(rng, rows, cols, density, values):
+    return IntegerMatrix(rows, cols, {
+        (i, j): rng.choice(values)
+        for i in range(rows) for j in range(cols) if rng.random() < density})
+
 
 def test_kernel_name_published():
-    assert intlinalg.KERNEL_NAME in ("python", "compiled")
+    assert intlinalg.KERNEL_NAME == "python"
 
 
-def test_kernels_agree():
-    from tracehom import _snf_py
-    _snf_core = pytest.importorskip("tracehom._snf_core")
+def test_sparse_agrees_with_dense_kernel():
     rng = random.Random(95)
+    for _ in range(300):
+        m = random_matrix(rng, max_dim=8)
+        assert smith_normal_form(m).invariant_factors == dense_snf(m)
+
+
+def test_sparse_agrees_with_dense_kernel_on_unit_matrices():
+    # +-1 entries with fill-in: the shape of a boundary matrix, where the
+    # sparse pass does most of the work and leaves torsion behind
+    rng = random.Random(96)
+    for _ in range(30):
+        m = random_sparse(rng, rng.randint(1, 30), rng.randint(1, 30),
+                          density=rng.choice((0.05, 0.15, 0.4)),
+                          values=(1, -1, 1, -1, 2, -3))
+        assert smith_normal_form(m).invariant_factors == dense_snf(m)
+
+
+def test_snf_without_unit_entries():
+    # no +-1 entry anywhere: the whole matrix is left to the dense kernel
+    rng = random.Random(97)
     for _ in range(40):
-        m = random_matrix(rng, max_dim=6)
-        if not m.entries:
-            continue
+        m = random_sparse(rng, rng.randint(1, 4), rng.randint(1, 4),
+                          density=0.7, values=(2, -3, 4, 6, -9, 10))
         rows = m.to_rows()
-        chain_py = intlinalg._divisor_chain(_snf_py.diagonalize(rows))
-        chain_c = intlinalg._divisor_chain(_snf_core.diagonalize(rows))
-        assert chain_py == chain_c
+        result = smith_normal_form(m)
+        assert list(result.invariant_factors) == determinantal_factors(rows)
+        assert result.rank == bareiss_rank(rows)
 
 
-def test_compiled_kernel_falls_back_on_overflow():
-    _snf_core = pytest.importorskip("tracehom._snf_core")
-    from tracehom import _snf_py
-    rows = [[2 ** 70, 1], [1, 1]]
-    assert sorted(_snf_core.diagonalize(rows)) == \
-        sorted(_snf_py.diagonalize(rows))
+def test_snf_ignores_zero_rows_and_columns():
+    rng = random.Random(98)
+    for _ in range(40):
+        core = random_matrix(rng, max_dim=5)
+        pad_r, pad_c = rng.randint(0, 4), rng.randint(0, 4)
+        row_at = sorted(rng.sample(range(core.rows + pad_r), core.rows))
+        col_at = sorted(rng.sample(range(core.cols + pad_c), core.cols))
+        padded = IntegerMatrix(core.rows + pad_r, core.cols + pad_c, {
+            (row_at[i], col_at[j]): v for (i, j), v in core.entries.items()})
+        assert smith_normal_form(padded) == smith_normal_form(core)
+
+
+def test_snf_unit_pivots_on_huge_entries():
+    # elimination on a unit pivot multiplies entries past 2**63
+    big = 2 ** 64 + 1
+    cases = [
+        [[1, 2 ** 70], [big, 3]],
+        [[-1, big, 0], [2 ** 65, 1, 2 ** 63], [3, 2 ** 80, 5]],
+        [[2 ** 63, 2 ** 64], [2 ** 64, 2 ** 63 * 6]],
+    ]
+    for rows in cases:
+        assert list(snf_of(rows).invariant_factors) == \
+            determinantal_factors(rows), rows
+
+
+def test_snf_leaves_its_argument_alone():
+    m = IntegerMatrix.from_rows([[1, 2, 0], [3, 1, 4], [0, 5, -1]])
+    before = dict(m.entries)
+    smith_normal_form(m)
+    assert m.entries == before
+
+
+ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 6, 2 ** 64, -(2 ** 70)))
+
+
+@st.composite
+def small_matrices(draw):
+    nr = draw(st.integers(0, 4))
+    nc = draw(st.integers(0, 4))
+    return draw(st.lists(st.lists(ENTRIES, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_matrices())
+def test_snf_property_against_oracles(rows):
+    m = IntegerMatrix(len(rows), len(rows[0]) if rows else 0, {
+        (i, j): v for i, row in enumerate(rows)
+        for j, v in enumerate(row) if v})
+    result = smith_normal_form(m)
+    assert result.invariant_factors == dense_snf(m)
+    assert list(result.invariant_factors) == determinantal_factors(rows)
+    assert result.rank == bareiss_rank(rows)
 
 
 # --- AbelianGroup --------------------------------------------------------
@@ -186,6 +264,25 @@ def test_group_canonical_form():
     assert AbelianGroup(0, (4, 6)).torsion == (2, 12)
     assert AbelianGroup(0, (1, 1)).is_trivial
     assert AbelianGroup(2).torsion == ()
+
+
+def test_group_torsion_matches_minor_gcd_oracle():
+    rng = random.Random(30)
+    for _ in range(40):
+        ds = [rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 25))
+              for _ in range(rng.randint(1, 4))]
+        diag = [[d if i == j else 0 for j in range(len(ds))]
+                for i, d in enumerate(ds)]
+        expect = tuple(f for f in determinantal_factors(diag) if f > 1)
+        assert AbelianGroup(0, ds).torsion == expect, ds
+
+
+def test_group_large_prime_torsion_without_factoring():
+    start = time.perf_counter()
+    g = AbelianGroup(0, (2 ** 89 - 1,))
+    assert time.perf_counter() - start < 1.0
+    assert g.torsion == (2 ** 89 - 1,)
+    assert AbelianGroup(0, (2 ** 89 - 1, 2)).torsion == (2 * (2 ** 89 - 1),)
 
 
 def test_group_rejects_bad_input():
