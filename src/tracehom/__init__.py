@@ -28,7 +28,7 @@ from .simplicial import (SimplicialComplex, barycentric_flagification,
 from .verify import (CounterexampleReport, DegreeComparison,
                      VerificationReport, check_lemma_split, check_prop_power,
                      check_theorem_aug, check_theorem_main,
-                     counterexample_report, groups_isomorphic)
+                     counterexample_report)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "check_theorem_aug", "check_theorem_main", "clique_complex",
     "clique_counts", "counterexample_report", "direct_sum",
     "enumerate_basis", "enumerate_cliques", "fan_mset",
-    "full_action_from_successor", "groups_isomorphic", "homology",
+    "full_action_from_successor", "homology",
     "homology_of_pair", "is_clique", "is_full_action",
     "is_rooted_tree_at_basepoint", "iso_check", "max_clique_size",
     "read_face_list", "smith_normal_form", "transition_graph", "x0_mset",

@@ -13,7 +13,7 @@ from .errors import ValidationError
 class IndependenceAlphabet:
     """Generators in declaration order plus unordered independence pairs."""
 
-    __slots__ = ("generators", "pairs", "_index", "_adjacent")
+    __slots__ = ("generators", "pairs", "_index", "_adjacent", "_cliques")
 
     def __init__(self, generators, independence=()):
         problems = []
@@ -51,10 +51,18 @@ class IndependenceAlphabet:
         self.pairs = frozenset(pairs)
         self._index = index
         adjacent = {g: set() for g in gens}
+        later = [0] * len(gens)
         for a, b in pairs:
             adjacent[a].add(b)
             adjacent[b].add(a)
+            later[index[a]] |= 1 << index[b]
         self._adjacent = adjacent
+        # clique table: level k holds the k-cliques and, for each, the
+        # bitmask of later generators independent of all its members;
+        # the 1-cliques' masks are the later-neighbour masks themselves.
+        # Higher levels are added on demand by enumerate_cliques.
+        self._cliques = [([()], [(1 << len(gens)) - 1]),
+                         ([(g,) for g in gens], later)]
 
     def index(self, g):
         try:
@@ -87,32 +95,35 @@ def is_clique(alpha, members):
                for k, a in enumerate(members) for b in members[k + 1:])
 
 
+def _next_level(gens, later, cliques, masks):
+    """The (k+1)-cliques and their masks from the k-cliques: each clique
+    is extended by every bit of its mask, in ascending order, so the new
+    level is again in lexicographic order of member indices."""
+    out, out_masks = [], []
+    for K, mask in zip(cliques, masks):
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            mask ^= low
+            out.append(K + (gens[j],))
+            out_masks.append(mask & later[j])
+    return out, out_masks
+
+
 def enumerate_cliques(alpha, k):
     """All k-element cliques of the independence relation, each sorted by
     declaration order, listed in lexicographic order of member indices.
 
-    k = 0 gives the single empty clique.
+    k = 0 gives the single empty clique.  Levels are computed once per
+    alphabet, up to the largest k asked for, and kept on it; each call
+    returns a fresh list.
     """
     if k < 0:
         raise ValueError(f"negative clique size {k}")
-    gens = alpha.generators
-    adjacent = alpha._adjacent
-    out = []
-    prefix = []
-
-    def extend(start, need):
-        if not need:
-            out.append(tuple(prefix))
-            return
-        for idx in range(start, len(gens) - need + 1):
-            g = gens[idx]
-            if all(g in adjacent[h] for h in prefix):
-                prefix.append(g)
-                extend(idx + 1, need - 1)
-                prefix.pop()
-
-    extend(0, k)
-    return out
+    table = alpha._cliques
+    while len(table) <= k and table[-1][0]:
+        table.append(_next_level(alpha.generators, table[1][1], *table[-1]))
+    return list(table[k][0]) if k < len(table) else []
 
 
 def clique_counts(alpha):

@@ -22,7 +22,7 @@ class CoefficientSystem:
     """Rank 0/1 coefficient data on a pointed carrier.
 
     value_at gives the rank (0 or 1) of the group attached to a point;
-    unit gives the integer (0 or 1) by which the step x -> x.e acts.
+    unit gives the integer (0 or 1) by which a step out of x acts.
     Both depend only on whether the point is the basepoint, because the
     basepoint is fixed: every step out of it stays at it.
     """
@@ -38,7 +38,7 @@ class CoefficientSystem:
     def value_at(self, x):
         return self._value[x == STAR]
 
-    def unit(self, x, e):
+    def unit(self, x):
         return self._unit[x == STAR]
 
     def __repr__(self):
@@ -86,7 +86,7 @@ def boundary_matrix(m, system, degree):
             face = K[:s - 1] + K[s:]
             sign = -1 if s % 2 else 1
             y = m.act(x, e)
-            if system.value_at(y) and system.unit(x, e):
+            if system.value_at(y) and system.unit(x):
                 add(index[(y, face)], col, sign)
             add(index[(x, face)], col, -sign)
 
@@ -96,8 +96,9 @@ def boundary_matrix(m, system, degree):
 class ChainComplex:
     """Bases and boundary maps for degrees 0 .. top.
 
-    top is the largest clique size of the alphabet; every higher degree
-    is zero.  Boundary maps at the ends are zero maps of the right shape.
+    top is the largest clique size of the alphabet, above which every
+    degree is zero, unless the complex was built with a lower bound.
+    Boundary maps at the ends are zero maps of the right shape.
     """
 
     __slots__ = ("mset", "system", "bases", "_boundaries")
@@ -124,15 +125,25 @@ class ChainComplex:
             return zero_matrix(0, self.dim(0))
         return zero_matrix(self.dim(n - 1), 0)
 
-    def homology(self):
-        """Homology groups in degrees 0 .. top."""
+    def homology(self, top=None):
+        """Homology groups in degrees 0 .. top (default: the complex's
+        top).  A degree needs the boundary out of the next one, so a
+        complex built only up to a bound is exact below it."""
+        if top is None:
+            top = self.top
         return [homology_of_pair(self.boundary(n), self.boundary(n + 1))
-                for n in range(self.top + 1)]
+                for n in range(top + 1)]
 
 
-def build_complex(m, system):
-    """Assemble all bases and boundaries and check d o d = 0."""
-    top = max_clique_size(m.alphabet)
+def build_complex(m, system, top=None):
+    """Assemble the bases and boundaries of degrees 0 .. top and check
+    d o d = 0.
+
+    top defaults to the largest clique size; a lower one leaves every
+    clique above it unlisted.
+    """
+    if top is None:
+        top = max_clique_size(m.alphabet)
     bases = [enumerate_basis(m, system, n) for n in range(top + 1)]
     boundaries = [boundary_matrix(m, system, n) for n in range(1, top + 1)]
     for n in range(len(boundaries) - 1):
@@ -142,6 +153,8 @@ def build_complex(m, system):
     return ChainComplex(m, system, bases, boundaries)
 
 
-def homology(m, system):
-    """Homology of the action in degrees 0 .. max clique size."""
-    return build_complex(m, system).homology()
+def homology(m, system, max_degree=None):
+    """Homology of the action in degrees 0 .. max_degree (default: the
+    largest clique size).  Only degrees up to max_degree + 1 are built."""
+    top = None if max_degree is None else max_degree + 1
+    return build_complex(m, system, top).homology(max_degree)

@@ -138,7 +138,10 @@ def main():
 def cmd_homology(problem, coeff, fmt, max_degree):
     """Homology of the action in a problem file, one group per degree."""
     _, m = _load_problem(problem, need_action=True)
-    groups = _pad_degrees(chains.homology(m, chains.SYSTEMS[coeff]),
+    # a bound below -1 slices groups off the end in _pad_degrees, so it
+    # needs every degree
+    bound = max_degree if max_degree is None or max_degree >= -1 else None
+    groups = _pad_degrees(chains.homology(m, chains.SYSTEMS[coeff], bound),
                           max_degree)
     if fmt == "json":
         click.echo(json.dumps({

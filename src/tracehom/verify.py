@@ -28,19 +28,6 @@ from .msets import chain_mset, check_conditions, fan_mset, iso_check, x0_mset
 from .simplicial import clique_complex
 
 
-def groups_isomorphic(a, b):
-    """Descriptor equality; descriptors are canonical, so this is group
-    isomorphism."""
-    return a == b
-
-
-def direct_sum(*groups):
-    total = AbelianGroup(0)
-    for g in groups:
-        total = total + g
-    return total
-
-
 @dataclass(frozen=True)
 class DegreeComparison:
     degree: int

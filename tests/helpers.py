@@ -5,6 +5,8 @@ check."""
 from itertools import combinations
 from math import gcd
 
+from hypothesis import strategies as st
+
 from tracehom import (BASEPOINT, IndependenceAlphabet, IntegerMatrix,
                       PointedMSet, full_action_from_successor)
 
@@ -94,6 +96,17 @@ def random_alphabet(rng, max_size=6, min_size=1):
     return IndependenceAlphabet(gens, pairs)
 
 
+@st.composite
+def alphabets(draw, max_size=10):
+    """Hypothesis strategy: generators e0, e1, ... with each pair drawn
+    independent or not."""
+    gens = [f"e{k}" for k in range(draw(st.integers(0, max_size)))]
+    pairs = list(combinations(gens, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return IndependenceAlphabet(gens, [p for p, k in zip(pairs, keep) if k])
+
+
 def random_mset(rng, alpha, max_elements=4):
     """Random valid action over alpha.
 
@@ -160,4 +173,15 @@ def shuffle_generators(rng, m):
     rng.shuffle(order)
     alpha = IndependenceAlphabet(order, m.alphabet.pairs)
     action = {x: {e: m.act(x, e) for e in order} for x in m.elements}
+    return PointedMSet(alpha, m.elements, action)
+
+
+def rename_generators(m, order):
+    """Same action over the same alphabet up to isomorphism: generators
+    declared in the given order of the old names and renamed."""
+    names = {g: f"r{k}" for k, g in enumerate(order)}
+    alpha = IndependenceAlphabet([names[g] for g in order],
+                                 [(names[a], names[b])
+                                  for a, b in m.alphabet.pairs])
+    action = {x: {names[e]: m.act(x, e) for e in order} for x in m.elements}
     return PointedMSet(alpha, m.elements, action)

@@ -1,13 +1,20 @@
 from itertools import combinations
 from math import comb
+from pathlib import Path
+import json
 import random
 
 import pytest
-from helpers import brute_force_cliques, random_alphabet
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from helpers import alphabets, brute_force_cliques, random_alphabet
 
 from tracehom import ValidationError
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
                                enumerate_cliques, is_clique, max_clique_size)
+from tracehom.simplicial import barycentric_flagification, read_face_list
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 CYCLE4 = IndependenceAlphabet(
     "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
@@ -116,3 +123,47 @@ def test_cliques_match_brute_force():
             assert sorted(fast) == sorted(brute_force_cliques(alpha, k))
             assert len(set(fast)) == len(fast)
             assert all(is_clique(alpha, K) for K in fast)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_clique_table_matches_brute_force_in_order(data):
+    """Asked for the levels in any order, the table lists exactly the
+    brute-force cliques, in the same (lexicographic) order."""
+    alpha = data.draw(alphabets(max_size=10))
+    sizes = data.draw(st.permutations(range(len(alpha.generators) + 2)))
+    for k in sizes:
+        assert enumerate_cliques(alpha, k) == brute_force_cliques(alpha, k)
+
+
+def test_returned_cliques_are_a_fresh_list():
+    alpha = IndependenceAlphabet(
+        "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    first = enumerate_cliques(alpha, 2)
+    first.append(("a", "c"))
+    del first[0]
+    enumerate_cliques(alpha, 0).clear()
+    assert enumerate_cliques(alpha, 2) == \
+        [("a", "b"), ("a", "d"), ("b", "c"), ("c", "d")]
+    assert enumerate_cliques(alpha, 0) == [()]
+
+
+def corpus_alphabets():
+    for path in sorted(PROBLEMS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        yield path.name, IndependenceAlphabet(doc["generators"],
+                                              doc.get("independence", []))
+    faces = read_face_list((PROBLEMS / "rp2_faces.txt").read_text())
+    yield "rp2_faces.txt", barycentric_flagification(faces)
+
+
+@pytest.mark.parametrize("alpha", [pytest.param(alpha, id=name)
+                                   for name, alpha in corpus_alphabets()])
+def test_clique_counts_on_corpus(alpha):
+    expected = [1]
+    while True:
+        n = len(brute_force_cliques(alpha, len(expected)))
+        if not n:
+            break
+        expected.append(n)
+    assert clique_counts(alpha) == expected

@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
-from helpers import random_alphabet, random_mset, relabel_elements, \
-    shuffle_generators
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from helpers import alphabets, random_alphabet, random_mset, \
+    relabel_elements, rename_generators, shuffle_generators
 
 from tracehom.alphabet import IndependenceAlphabet, clique_counts
 from tracehom.chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS,
@@ -12,6 +14,7 @@ from tracehom.chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS,
 from tracehom.intlinalg import AbelianGroup
 from tracehom.msets import (BASEPOINT, PointedMSet, chain_mset, fan_mset,
                             x0_mset)
+from tracehom.simplicial import clique_complex
 
 SINGLE = IndependenceAlphabet(["e"])
 PAIR = IndependenceAlphabet(["a", "b"], [("a", "b")])
@@ -33,8 +36,8 @@ def test_system_values():
     assert (PUNCTURED.value_at("x"), PUNCTURED.value_at(BASEPOINT)) == (1, 0)
     assert (BASEPOINT_ONLY.value_at("x"),
             BASEPOINT_ONLY.value_at(BASEPOINT)) == (0, 1)
-    assert PUNCTURED.unit("x", "e") == 1
-    assert PUNCTURED.unit(BASEPOINT, "e") == 0
+    assert PUNCTURED.unit("x") == 1
+    assert PUNCTURED.unit(BASEPOINT) == 0
 
 
 def test_system_registry():
@@ -181,6 +184,41 @@ def test_homology_ignores_labeling_and_order():
             reference = homology(m, system)
             assert homology(relabeled, system) == reference
             assert homology(shuffled, system) == reference
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alphabets(max_size=6), st.randoms(use_true_random=False), st.data())
+def test_invariants_ignore_generator_names_and_order(alpha, rng, data):
+    """Permuting and renaming the generators of an alphabet and its
+    action changes none of the invariants."""
+    m = random_mset(rng, alpha, max_elements=3)
+    renamed = rename_generators(m, data.draw(st.permutations(
+        alpha.generators)))
+    assert clique_counts(renamed.alphabet) == clique_counts(alpha)
+    for system in (DELTA, PUNCTURED):
+        assert homology(renamed, system) == homology(m, system)
+    assert clique_complex(renamed.alphabet).reduced_homology() == \
+        clique_complex(alpha).reduced_homology()
+
+
+def test_homology_bounded_by_max_degree():
+    """A bound gives the full list cut off or padded with zero groups."""
+    rng = random.Random(37)
+    for _ in range(10):
+        m = random_mset(rng, random_alphabet(rng, max_size=5))
+        for system in SYSTEMS.values():
+            full = homology(m, system)
+            padded = full + [ZERO] * 3
+            for bound in range(-1, len(full) + 2):
+                assert homology(m, system, bound) == padded[:bound + 1]
+
+
+def test_bounded_complex_lists_no_higher_clique():
+    gens = [f"e{k}" for k in range(6)]
+    m = x0_mset(IndependenceAlphabet(gens, combinations(gens, 2)))
+    complex_ = build_complex(m, DELTA, top=2)
+    assert complex_.top == 2
+    assert len(m.alphabet._cliques) == 3
 
 
 def test_full_complete_alphabet_matches_binomials():

@@ -4,11 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from tracehom import alphabet
 from tracehom.chains import SYSTEMS, homology
 from tracehom.cli import main
 from tracehom.msets import PointedMSet
@@ -67,6 +70,37 @@ def test_homology_max_degree_pads():
 def test_homology_max_degree_truncates():
     result = run("homology", PROBLEMS / "x0_cycle4.json", "--max-degree", 1)
     assert "H_2" not in result.stdout
+
+
+def test_homology_max_degree_bounds_the_work(tmp_path):
+    """On a complete alphabet of 40 generators (2^40 cliques) a bound of
+    1 lists cliques only up to size 2.  The flag complex is a simplex,
+    so aug and split give H_0 = Z and H_1 = Z^40."""
+    gens = [f"e{k}" for k in range(40)]
+    path = write(tmp_path, "complete40.json", {
+        "generators": gens,
+        "independence": list(combinations(gens, 2)),
+        "elements": ["x0"],
+        "action": {"x0": {g: "*" for g in gens}},
+    })
+    start = time.perf_counter()
+    result = run("homology", path, "--max-degree", 1, "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["homology"] == [
+        {"degree": 0, "rank": 1, "torsion": []},
+        {"degree": 1, "rank": 40, "torsion": []}]
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("bound", [-1, 0, 1, 2, 3, 5])
+def test_homology_max_degree_cuts_or_pads_full_list(bound):
+    full = run("homology", PROBLEMS / "fan4_complete3.json")
+    lines = full.stdout.splitlines() + ["H_4 = 0", "H_5 = 0"]
+    result = run("homology", PROBLEMS / "fan4_complete3.json",
+                 "--max-degree", bound)
+    assert result.exit_code == 0
+    assert result.stdout.splitlines() == lines[:bound + 2]
 
 
 def test_homology_json_round_trip():
@@ -198,6 +232,25 @@ def test_verify_bundled_corpus(name):
     result = run("verify", PROBLEMS / name)
     assert result.exit_code == 0, result.output
     assert "FAIL" not in result.stdout
+
+
+def test_verify_lists_each_clique_level_once(monkeypatch):
+    """All four checks share one clique table: every level of the
+    alphabet is grown once, however often the checks ask for it."""
+    grown = []
+    next_level = alphabet._next_level
+
+    def counting(gens, later, cliques, masks):
+        grown.append((gens, len(cliques[0])))
+        return next_level(gens, later, cliques, masks)
+
+    monkeypatch.setattr(alphabet, "_next_level", counting)
+    result = run("verify", PROBLEMS / "rp2_x0.json")
+    assert result.exit_code == 0, result.output
+    assert len({gens for gens, _ in grown}) == 1
+    # levels 0 and 1 come with the alphabet; level 3 is the top, and
+    # growing it finds level 4 empty
+    assert [level for _, level in grown] == [1, 2, 3]
 
 
 # --- iso ------------------------------------------------------------------
