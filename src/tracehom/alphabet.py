@@ -126,20 +126,20 @@ def enumerate_cliques(alpha, k):
     return list(table[k][0]) if k < len(table) else []
 
 
-def clique_counts(alpha):
-    """Clique counts [p_0, p_1, ..., p_w] up to the largest clique size.
+def clique_counts(alpha, top=None):
+    """Clique counts [p_0, p_1, ..., p_w] up to the largest clique size w,
+    or only up to p_top when top is given.
 
     p_0 = 1 for the empty clique, so an alphabet with no independence at
     all still reports [1, n].
     """
     counts = [1]
-    k = 1
-    while True:
-        n = len(enumerate_cliques(alpha, k))
+    while top is None or len(counts) <= top:
+        n = len(enumerate_cliques(alpha, len(counts)))
         if not n:
-            return counts
+            break
         counts.append(n)
-        k += 1
+    return counts
 
 
 def max_clique_size(alpha):

@@ -13,8 +13,7 @@ constant, the basepoint-punctured, and the basepoint-only cases.
 """
 
 from .alphabet import enumerate_cliques, max_clique_size
-from .intlinalg import (BoundaryCompositionError, IntegerMatrix,
-                        homology_of_pair, zero_matrix)
+from .intlinalg import IntegerMatrix, homology_of_pair, zero_matrix
 from .msets import BASEPOINT as STAR
 
 
@@ -136,25 +135,23 @@ class ChainComplex:
 
 
 def build_complex(m, system, top=None):
-    """Assemble the bases and boundaries of degrees 0 .. top and check
-    d o d = 0.
+    """Assemble the bases and boundaries of degrees 0 .. top.
 
     top defaults to the largest clique size; a lower one leaves every
-    clique above it unlisted.
+    clique above it unlisted.  That d o d = 0 is checked where homology
+    is taken, by ``homology_of_pair``.
     """
     if top is None:
         top = max_clique_size(m.alphabet)
     bases = [enumerate_basis(m, system, n) for n in range(top + 1)]
     boundaries = [boundary_matrix(m, system, n) for n in range(1, top + 1)]
-    for n in range(len(boundaries) - 1):
-        if not (boundaries[n] @ boundaries[n + 1]).is_zero():
-            raise BoundaryCompositionError(
-                f"d_{n + 1} o d_{n + 2} is not zero")
     return ChainComplex(m, system, bases, boundaries)
 
 
 def homology(m, system, max_degree=None):
     """Homology of the action in degrees 0 .. max_degree (default: the
-    largest clique size).  Only degrees up to max_degree + 1 are built."""
+    largest clique size).  Only degrees up to max_degree + 1 are built;
+    degrees above the largest clique size come out as zero groups, and a
+    negative bound gives none."""
     top = None if max_degree is None else max_degree + 1
     return build_complex(m, system, top).homology(max_degree)

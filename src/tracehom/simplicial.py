@@ -133,17 +133,20 @@ class SimplicialComplex:
         return f"SimplicialComplex(sizes={sizes})"
 
 
-def clique_complex(alpha):
+def clique_complex(alpha, top=None):
     """Flag complex of the independence relation: the dimension-k
-    simplices are the (k + 1)-element cliques."""
+    simplices are the (k + 1)-element cliques.
+
+    With top given, only simplices of dimension up to top are listed.
+    That skeleton has the reduced homology of the whole complex in
+    degrees below top.
+    """
     levels = []
-    k = 1
-    while True:
-        cliques = enumerate_cliques(alpha, k)
+    while top is None or len(levels) <= top:
+        cliques = enumerate_cliques(alpha, len(levels) + 1)
         if not cliques:
             break
         levels.append(cliques)
-        k += 1
     return SimplicialComplex(alpha.generators, levels)
 
 

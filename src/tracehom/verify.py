@@ -73,17 +73,16 @@ def _count_at(counts, s):
 
 
 def _degrees(alpha, max_degree):
-    top = max_clique_size(alpha)
     if max_degree is None:
-        max_degree = top
+        max_degree = max_clique_size(alpha)
     return range(1, max_degree + 1)
 
 
 def check_lemma_split(m, max_degree=None):
     """delta = punctured + Z^(p_s) in every degree s >= 1."""
-    counts = clique_counts(m.alphabet)
-    h_delta = homology(m, DELTA)
-    h_punct = homology(m, PUNCTURED)
+    counts = clique_counts(m.alphabet, max_degree)
+    h_delta = homology(m, DELTA, max_degree)
+    h_punct = homology(m, PUNCTURED, max_degree)
     comparisons = tuple(
         DegreeComparison(s, _at(h_delta, s),
                          _at(h_punct, s) + AbelianGroup(_count_at(counts, s)))
@@ -99,8 +98,8 @@ def check_prop_power(m, max_degree=None):
         return VerificationReport("power", False,
                                   note="; ".join(conditions.violations))
     copies = len(m.elements)
-    h_m = homology(m, PUNCTURED)
-    h_ref = homology(x0_mset(m.alphabet), PUNCTURED)
+    h_m = homology(m, PUNCTURED, max_degree)
+    h_ref = homology(x0_mset(m.alphabet), PUNCTURED, max_degree)
     comparisons = tuple(
         DegreeComparison(s, _at(h_m, s), copies * _at(h_ref, s))
         for s in _degrees(m.alphabet, max_degree))
@@ -115,9 +114,9 @@ def check_theorem_main(m, max_degree=None):
         return VerificationReport("main", False,
                                   note="; ".join(conditions.violations))
     copies = len(m.elements)
-    counts = clique_counts(m.alphabet)
-    h_delta = homology(m, DELTA)
-    reduced = clique_complex(m.alphabet).reduced_homology()
+    counts = clique_counts(m.alphabet, max_degree)
+    h_delta = homology(m, DELTA, max_degree)
+    reduced = clique_complex(m.alphabet, max_degree).reduced_homology()
     comparisons = tuple(
         DegreeComparison(
             s, _at(h_delta, s),
@@ -132,8 +131,8 @@ def check_theorem_aug(alpha, max_degree=None):
 
     The two sides go through the two independent boundary
     implementations (chains vs simplicial)."""
-    h_punct = homology(x0_mset(alpha), PUNCTURED)
-    reduced = clique_complex(alpha).reduced_homology()
+    h_punct = homology(x0_mset(alpha), PUNCTURED, max_degree)
+    reduced = clique_complex(alpha, max_degree).reduced_homology()
     comparisons = tuple(
         DegreeComparison(n, _at(h_punct, n), _at(reduced, n - 1))
         for n in _degrees(alpha, max_degree))
@@ -167,16 +166,14 @@ def counterexample_report(alpha, max_degree=None):
     chain = chain_mset(alpha)
     fan = fan_mset(alpha)
     witness = iso_check(chain, fan)
-    top = max_clique_size(alpha)
-    if max_degree is None:
-        max_degree = top
+    top = max_clique_size(alpha) if max_degree is None else max_degree
     tables = {}
     for system in (DELTA, PUNCTURED):
-        h_chain = homology(chain, system)
-        h_fan = homology(fan, system)
+        h_chain = homology(chain, system, max_degree)
+        h_fan = homology(fan, system, max_degree)
         tables[system.name] = tuple(
             DegreeComparison(s, _at(h_chain, s), _at(h_fan, s))
-            for s in range(max_degree + 1))
+            for s in range(top + 1))
     note = ""
     if not alpha.generators:
         note = ("no generators: both actions degenerate to the same "

@@ -8,7 +8,19 @@ from math import gcd
 from hypothesis import strategies as st
 
 from tracehom import (BASEPOINT, IndependenceAlphabet, IntegerMatrix,
-                      PointedMSet, full_action_from_successor)
+                      PointedMSet, barycentric_flagification,
+                      enumerate_cliques, full_action_from_successor)
+
+#: the six-vertex triangulation of the projective plane
+RP2_TRIANGLES = ["124", "126", "134", "135", "156",
+                 "235", "236", "245", "346", "456"]
+
+
+def sd2_rp2():
+    """Alphabet of the second barycentric subdivision of RP2: 181
+    generators, clique counts [1, 181, 540, 360]."""
+    sd1 = barycentric_flagification(RP2_TRIANGLES)
+    return barycentric_flagification(enumerate_cliques(sd1, 3))
 
 
 def bareiss_rank(rows):

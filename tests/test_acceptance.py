@@ -11,11 +11,11 @@ from contextlib import contextmanager
 from itertools import combinations
 from math import comb
 
-from helpers import (bareiss_rank, random_alphabet, random_matrix,
-                     random_mset, relabel_elements, shuffle_generators)
+from helpers import (RP2_TRIANGLES, bareiss_rank, random_alphabet,
+                     random_matrix, random_mset, relabel_elements,
+                     sd2_rp2, shuffle_generators)
 
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
-                               enumerate_cliques,
                                max_clique_size)
 from tracehom.chains import DELTA, PUNCTURED, SYSTEMS, build_complex, homology
 from tracehom.intlinalg import AbelianGroup, smith_normal_form
@@ -26,9 +26,6 @@ from tracehom.verify import counterexample_report
 
 CYCLE4 = IndependenceAlphabet(
     "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-
-RP2_TRIANGLES = ["124", "126", "134", "135", "156",
-                 "235", "236", "245", "346", "456"]
 
 ZERO = AbelianGroup(0)
 
@@ -168,8 +165,7 @@ def test_criterion_8_property_suites():
 
 def test_criterion_9_midsize_fan_regression():
     with criterion("sd2(RP2) under a fan of four points", budget=10.0):
-        sd1 = barycentric_flagification(RP2_TRIANGLES)
-        alpha = barycentric_flagification(enumerate_cliques(sd1, 3))
+        alpha = sd2_rp2()
         fan = full_action_from_successor(
             alpha, {f"x{k}": BASEPOINT for k in range(4)})
         # Frozen answers, not computed by the engine.  The schema sd2(RP2)

@@ -9,9 +9,10 @@ from helpers import alphabets, random_alphabet, random_mset, \
 
 from tracehom.alphabet import IndependenceAlphabet, clique_counts
 from tracehom.chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS,
-                             boundary_matrix, build_complex, enumerate_basis,
-                             homology)
-from tracehom.intlinalg import AbelianGroup
+                             ChainComplex, boundary_matrix, build_complex,
+                             enumerate_basis, homology)
+from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
+                                IntegerMatrix)
 from tracehom.msets import (BASEPOINT, PointedMSet, chain_mset, fan_mset,
                             x0_mset)
 from tracehom.simplicial import clique_complex
@@ -113,6 +114,22 @@ def test_boundaries_compose_to_zero():
             for n in range(1, cx.top + 1):
                 assert (cx.boundary(n) @ cx.boundary(n + 1)).is_zero(), \
                     (name, n)
+
+
+def test_homology_rejects_boundaries_that_do_not_compose():
+    """d o d = 0 is checked where homology is taken, so a complex whose
+    boundaries were assembled wrong fails there."""
+    m = x0_mset(CYCLE4)
+    cx = build_complex(m, DELTA)
+    d1, d2 = cx.boundary(1), cx.boundary(2)
+    # flip the sign of one entry of d_2 in a row where d_1 is nonzero
+    i, j = next((i, j) for i, j in d2.entries
+                if any(k == i for _, k in d1.entries))
+    broken = IntegerMatrix(d2.rows, d2.cols,
+                           {**d2.entries, (i, j): -d2.entries[(i, j)]})
+    bad = ChainComplex(m, DELTA, cx.bases, [d1, broken])
+    with pytest.raises(BoundaryCompositionError):
+        bad.homology()
 
 
 # --- homology ------------------------------------------------------------

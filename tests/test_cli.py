@@ -72,17 +72,23 @@ def test_homology_max_degree_truncates():
     assert "H_2" not in result.stdout
 
 
-def test_homology_max_degree_bounds_the_work(tmp_path):
-    """On a complete alphabet of 40 generators (2^40 cliques) a bound of
-    1 lists cliques only up to size 2.  The flag complex is a simplex,
-    so aug and split give H_0 = Z and H_1 = Z^40."""
-    gens = [f"e{k}" for k in range(40)]
-    path = write(tmp_path, "complete40.json", {
+def complete_alphabet_file(tmp_path, n):
+    """One element sent to the basepoint by every generator of a complete
+    alphabet on n generators, which has 2^n cliques."""
+    gens = [f"e{k}" for k in range(n)]
+    return write(tmp_path, f"complete{n}.json", {
         "generators": gens,
         "independence": list(combinations(gens, 2)),
         "elements": ["x0"],
         "action": {"x0": {g: "*" for g in gens}},
     })
+
+
+def test_homology_max_degree_bounds_the_work(tmp_path):
+    """On a complete alphabet of 40 generators (2^40 cliques) a bound of
+    1 lists cliques only up to size 2.  The flag complex is a simplex,
+    so aug and split give H_0 = Z and H_1 = Z^40."""
+    path = complete_alphabet_file(tmp_path, 40)
     start = time.perf_counter()
     result = run("homology", path, "--max-degree", 1, "--format", "json")
     elapsed = time.perf_counter() - start
@@ -91,6 +97,58 @@ def test_homology_max_degree_bounds_the_work(tmp_path):
         {"degree": 0, "rank": 1, "torsion": []},
         {"degree": 1, "rank": 40, "torsion": []}]
     assert elapsed < 2.0
+
+
+def test_verify_and_counterexample_max_degree_bound_the_work(tmp_path):
+    """The same 40-generator alphabet through the other two commands
+    that take a bound.  In degree 1: split and main see Z^40 = 0 + Z^40
+    (the flag complex, a simplex, is connected), power and aug compare
+    0 with 0, and the chain and fan both have H_1 = Z^40 for constant
+    coefficients and 0 for punctured ones."""
+    path = complete_alphabet_file(tmp_path, 40)
+    z40 = {"rank": 40, "torsion": []}
+    zero = {"rank": 0, "torsion": []}
+    start = time.perf_counter()
+    result = run("verify", path, "--max-degree", 1, "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, result.output
+    checks = json.loads(result.stdout)["checks"]
+    assert [(c["claim"], c["status"]) for c in checks] == [
+        ("split", "PASS"), ("power", "PASS"), ("main", "PASS"),
+        ("aug", "PASS")]
+    assert [[(d["degree"], d["lhs"]) for d in c["degrees"]]
+            for c in checks] == [[(1, z40)], [(1, zero)], [(1, z40)],
+                                 [(1, zero)]]
+    assert elapsed < 2.0
+
+    start = time.perf_counter()
+    result = run("counterexample", path, "--max-degree", 1,
+                 "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert not report["isomorphic"] and report["homology_equal"]
+    assert {name: [row["chain"] for row in table]
+            for name, table in report["tables"].items()} == {
+        "delta": [{"rank": 1, "torsion": []}, z40],
+        "punctured": [zero, zero]}
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_homology_negative_max_degree_reports_no_degrees(fmt):
+    outputs = set()
+    for bound in (-1, -2, -5):
+        result = run("homology", PROBLEMS / "fan4_complete3.json",
+                     "--max-degree", bound, "--format", fmt)
+        assert result.exit_code == 0, result.output
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
+    (out,) = outputs
+    if fmt == "json":
+        assert json.loads(out)["homology"] == []
+    else:
+        assert out.splitlines() == ["coefficients: delta"]
 
 
 @pytest.mark.parametrize("bound", [-1, 0, 1, 2, 3, 5])

@@ -4,13 +4,16 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import bareiss_rank, determinantal_factors, random_matrix
+from helpers import (bareiss_rank, determinantal_factors, random_matrix,
+                     sd2_rp2)
 
 from tracehom import _snf_py, intlinalg
+from tracehom.chains import DELTA, boundary_matrix
 from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
                                 IntegerMatrix, ShapeError, SNFResult,
                                 direct_sum, homology_of_pair,
                                 smith_normal_form, zero_matrix)
+from tracehom.msets import BASEPOINT, full_action_from_successor
 
 
 def snf_of(rows):
@@ -233,13 +236,20 @@ def test_snf_leaves_its_argument_alone():
     assert m.entries == before
 
 
+def transpose(m):
+    return IntegerMatrix(m.cols, m.rows,
+                         {(j, i): v for (i, j), v in m.entries.items()})
+
+
 ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 6, 2 ** 64, -(2 ** 70)))
 
 
 @st.composite
 def small_matrices(draw):
-    nr = draw(st.integers(0, 4))
-    nc = draw(st.integers(0, 4))
+    # one side up to 7 long, so that tall and wide shapes both come up
+    short = draw(st.integers(0, 4))
+    long = draw(st.integers(0, 7))
+    nr, nc = (long, short) if draw(st.booleans()) else (short, long)
     return draw(st.lists(st.lists(ENTRIES, min_size=nc, max_size=nc),
                          min_size=nr, max_size=nr))
 
@@ -254,6 +264,25 @@ def test_snf_property_against_oracles(rows):
     assert result.invariant_factors == dense_snf(m)
     assert list(result.invariant_factors) == determinantal_factors(rows)
     assert result.rank == bareiss_rank(rows)
+    assert smith_normal_form(transpose(m)) == result
+
+
+def test_snf_of_sd2_rp2_boundaries_both_ways():
+    """The real d_2 (905x2700) and d_3 (2700x1800) of sd2(RP2) under a
+    fan of four points, and their transposes.  The factors are frozen
+    from the groups of test_criterion_9: H_3 = Z^360 gives rank d_3 =
+    1800 - 360 = 1440, with the (Z/2)^4 of H_2 as its torsion; the free
+    rank 540 of H_2 = 2700 - rank d_2 - rank d_3 gives rank d_2 = 720,
+    and H_1 = Z^181 is free, so d_2 has no torsion."""
+    fan = full_action_from_successor(
+        sd2_rp2(), {f"x{k}": BASEPOINT for k in range(4)})
+    expect = {2: ((905, 2700), (1,) * 720),
+              3: ((2700, 1800), (1,) * 1436 + (2,) * 4)}
+    for n, (shape, factors) in expect.items():
+        d = boundary_matrix(fan, DELTA, n)
+        assert (d.rows, d.cols) == shape
+        assert smith_normal_form(d).invariant_factors == factors
+        assert smith_normal_form(transpose(d)).invariant_factors == factors
 
 
 # --- AbelianGroup --------------------------------------------------------

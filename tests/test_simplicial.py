@@ -4,7 +4,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from helpers import random_alphabet
+from helpers import RP2_TRIANGLES, random_alphabet
 
 from tracehom import ValidationError
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
@@ -18,10 +18,6 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 Z = AbelianGroup(1)
 ZERO = AbelianGroup(0)
 Z2 = AbelianGroup(0, (2,))
-
-RP2_TRIANGLES = ["124", "126", "134", "135", "156",
-                 "235", "236", "245", "346", "456"]
-
 
 def rp2_complex():
     return SimplicialComplex.from_maximal_faces(RP2_TRIANGLES)

@@ -238,6 +238,35 @@ def test_aug_respects_max_degree():
     assert report.holds
 
 
+# --- bounds ---------------------------------------------------------------
+
+def test_bound_cuts_or_pads_every_report():
+    """With a bound N only what degrees up to N need is computed, and the
+    reports match the unbounded ones there; degrees past the largest
+    clique size compare zero with zero."""
+    rng = random.Random(41)
+    for _ in range(12):
+        alpha = random_alphabet(rng, max_size=6)
+        m = random_tree_mset(rng, alpha)
+        reports = [
+            lambda b=None: check_lemma_split(m, b).comparisons,
+            lambda b=None: check_prop_power(m, b).comparisons,
+            lambda b=None: check_theorem_main(m, b).comparisons,
+            lambda b=None: check_theorem_aug(alpha, b).comparisons,
+            lambda b=None: counterexample_report(alpha, b).tables["delta"],
+            lambda b=None: counterexample_report(
+                alpha, b).tables["punctured"]]
+        for rows in reports:
+            full = rows()
+            first = full[0].degree
+            for bound in range(-2, len(full) + 3):
+                got = rows(bound)
+                assert [c.degree for c in got] == \
+                    list(range(first, bound + 1))
+                assert got[:len(full)] == full[:len(got)]
+                assert all(c.lhs == c.rhs == ZERO for c in got[len(full):])
+
+
 # --- counterexample -------------------------------------------------------
 
 def test_counterexample_cycle4():
