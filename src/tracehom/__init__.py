@@ -10,19 +10,17 @@ independence relation.
 """
 
 from .alphabet import (IndependenceAlphabet, clique_counts,
-                       enumerate_cliques, is_clique, max_clique_size)
+                       enumerate_cliques, max_clique_size)
 from .chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS, ChainComplex,
                      CoefficientSystem, boundary_matrix, build_complex,
                      enumerate_basis, homology)
 from .errors import ValidationError
 from .intlinalg import (KERNEL_NAME, AbelianGroup, BoundaryCompositionError,
-                        IntegerMatrix, ShapeError, SNFResult, direct_sum,
-                        homology_of_pair, smith_normal_form, zero_matrix)
-from .msets import (BASEPOINT, ConditionsReport, PointedMSet,
-                    TransitionGraph, chain_mset, check_conditions, fan_mset,
-                    full_action_from_successor, is_full_action,
-                    is_rooted_tree_at_basepoint, iso_check, transition_graph,
-                    x0_mset)
+                        IntegerMatrix, ShapeError, SNFResult,
+                        homology_of_pair, smith_normal_form)
+from .msets import (BASEPOINT, ConditionsReport, PointedMSet, chain_mset,
+                    check_conditions, fan_mset, full_action_from_successor,
+                    iso_check, x0_mset)
 from .simplicial import (SimplicialComplex, barycentric_flagification,
                          clique_complex, read_face_list)
 from .verify import (CounterexampleReport, DegreeComparison,
@@ -38,15 +36,12 @@ __all__ = [
     "CounterexampleReport", "DELTA", "DegreeComparison",
     "IndependenceAlphabet", "IntegerMatrix", "KERNEL_NAME", "PUNCTURED",
     "PointedMSet", "SNFResult", "SYSTEMS", "ShapeError", "SimplicialComplex",
-    "TransitionGraph", "ValidationError", "VerificationReport",
-    "barycentric_flagification", "boundary_matrix", "build_complex",
-    "chain_mset", "check_conditions", "check_lemma_split", "check_prop_power",
-    "check_theorem_aug", "check_theorem_main", "clique_complex",
-    "clique_counts", "counterexample_report", "direct_sum",
-    "enumerate_basis", "enumerate_cliques", "fan_mset",
-    "full_action_from_successor", "homology",
-    "homology_of_pair", "is_clique", "is_full_action",
-    "is_rooted_tree_at_basepoint", "iso_check", "max_clique_size",
-    "read_face_list", "smith_normal_form", "transition_graph", "x0_mset",
-    "zero_matrix",
+    "ValidationError", "VerificationReport", "barycentric_flagification",
+    "boundary_matrix", "build_complex", "chain_mset", "check_conditions",
+    "check_lemma_split", "check_prop_power", "check_theorem_aug",
+    "check_theorem_main", "clique_complex", "clique_counts",
+    "counterexample_report", "enumerate_basis", "enumerate_cliques",
+    "fan_mset", "full_action_from_successor", "homology", "homology_of_pair",
+    "iso_check", "max_clique_size", "read_face_list", "smith_normal_form",
+    "x0_mset",
 ]

@@ -30,11 +30,12 @@ class IndependenceAlphabet:
                 index[g] = k
         pairs = set()
         for pair in independence:
-            try:
-                a, b = pair
-            except (TypeError, ValueError):
-                problems.append(f"independence pair {pair!r} is not a pair")
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(g, str) for g in pair)):
+                problems.append(f"independence pair {pair!r} is not a pair "
+                                "of generator names")
                 continue
+            a, b = pair
             if a not in index or b not in index:
                 problems.append(f"independence pair ({a!r}, {b!r}) "
                                 "names unknown generators")
@@ -83,16 +84,6 @@ class IndependenceAlphabet:
     def __repr__(self):
         return (f"IndependenceAlphabet({list(self.generators)!r}, "
                 f"{sorted(self.pairs)!r})")
-
-
-def is_clique(alpha, members):
-    """True when members are distinct, sorted by declaration order, and
-    pairwise independent."""
-    idx = [alpha.index(g) for g in members]
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        return False
-    return all(alpha.independent(a, b)
-               for k, a in enumerate(members) for b in members[k + 1:])
 
 
 def _next_level(gens, later, cliques, masks):

@@ -4,52 +4,46 @@ Degree n is free abelian on pairs (x, K): a carrier point x whose
 coefficient group has rank 1, and a size-n clique K of independent
 generators.  The boundary of (x, K) with K = (e_1 < ... < e_n) is
 
-    sum over s of (-1)^s [ (x.e_s, K minus e_s) * unit(x -> x.e_s)
-                           - (x, K minus e_s) ]
+    sum over s of (-1)^s [ (x.e_s, K minus e_s) - (x, K minus e_s) ]
 
 where the first term is dropped whenever the coefficient group at
-x.e_s has rank 0.  Three built-in coefficient systems cover the
-constant, the basepoint-punctured, and the basepoint-only cases.
+x.e_s has rank 0; a step between two rank-1 points acts as the
+identity.  Three built-in coefficient systems cover the constant, the
+basepoint-punctured, and the basepoint-only cases.
 """
 
 from .alphabet import enumerate_cliques, max_clique_size
-from .intlinalg import IntegerMatrix, homology_of_pair, zero_matrix
+from .intlinalg import IntegerMatrix, homology_of_pair
 from .msets import BASEPOINT as STAR
 
 
 class CoefficientSystem:
     """Rank 0/1 coefficient data on a pointed carrier.
 
-    value_at gives the rank (0 or 1) of the group attached to a point;
-    unit gives the integer (0 or 1) by which a step out of x acts.
-    Both depend only on whether the point is the basepoint, because the
+    value_at gives the rank (0 or 1) of the group attached to a point.
+    It depends only on whether the point is the basepoint, because the
     basepoint is fixed: every step out of it stays at it.
     """
 
-    __slots__ = ("name", "_value", "_unit")
+    __slots__ = ("name", "_value")
 
-    def __init__(self, name, value_at_element, value_at_basepoint,
-                 unit_at_element, unit_at_basepoint):
+    def __init__(self, name, value_at_element, value_at_basepoint):
         self.name = name
         self._value = (value_at_element, value_at_basepoint)
-        self._unit = (unit_at_element, unit_at_basepoint)
 
     def value_at(self, x):
         return self._value[x == STAR]
-
-    def unit(self, x):
-        return self._unit[x == STAR]
 
     def __repr__(self):
         return f"CoefficientSystem({self.name!r})"
 
 
-#: constant Z everywhere, every step the identity
-DELTA = CoefficientSystem("delta", 1, 1, 1, 1)
+#: constant Z everywhere
+DELTA = CoefficientSystem("delta", 1, 1)
 #: Z on the elements, 0 at the basepoint
-PUNCTURED = CoefficientSystem("punctured", 1, 0, 1, 0)
+PUNCTURED = CoefficientSystem("punctured", 1, 0)
 #: Z at the basepoint only
-BASEPOINT_ONLY = CoefficientSystem("basepoint", 0, 1, 0, 1)
+BASEPOINT_ONLY = CoefficientSystem("basepoint", 0, 1)
 
 SYSTEMS = {s.name: s for s in (DELTA, PUNCTURED, BASEPOINT_ONLY)}
 
@@ -85,7 +79,7 @@ def boundary_matrix(m, system, degree):
             face = K[:s - 1] + K[s:]
             sign = -1 if s % 2 else 1
             y = m.act(x, e)
-            if system.value_at(y) and system.unit(x):
+            if system.value_at(y):
                 add(index[(y, face)], col, sign)
             add(index[(x, face)], col, -sign)
 
@@ -100,11 +94,9 @@ class ChainComplex:
     Boundary maps at the ends are zero maps of the right shape.
     """
 
-    __slots__ = ("mset", "system", "bases", "_boundaries")
+    __slots__ = ("bases", "_boundaries")
 
-    def __init__(self, mset, system, bases, boundaries):
-        self.mset = mset
-        self.system = system
+    def __init__(self, bases, boundaries):
         self.bases = bases
         self._boundaries = boundaries
 
@@ -121,8 +113,8 @@ class ChainComplex:
         if 1 <= n <= self.top:
             return self._boundaries[n - 1]
         if n == 0:
-            return zero_matrix(0, self.dim(0))
-        return zero_matrix(self.dim(n - 1), 0)
+            return IntegerMatrix(0, self.dim(0))
+        return IntegerMatrix(self.dim(n - 1), 0)
 
     def homology(self, top=None):
         """Homology groups in degrees 0 .. top (default: the complex's
@@ -145,7 +137,7 @@ def build_complex(m, system, top=None):
         top = max_clique_size(m.alphabet)
     bases = [enumerate_basis(m, system, n) for n in range(top + 1)]
     boundaries = [boundary_matrix(m, system, n) for n in range(1, top + 1)]
-    return ChainComplex(m, system, bases, boundaries)
+    return ChainComplex(bases, boundaries)
 
 
 def homology(m, system, max_degree=None):

@@ -31,9 +31,11 @@ def _die(problems):
 
 def _read_text(path):
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _die([str(exc)])
+    except UnicodeDecodeError as exc:
+        _die([f"{path}: not UTF-8 text: {exc}"])
 
 
 def _load_document(path):

@@ -9,8 +9,6 @@ and must not overflow.
 from dataclasses import dataclass
 from math import gcd
 
-from ._snf_py import diagonalize
-
 #: the one SNF kernel: sparse unit-pivot elimination in pure Python,
 #: with dense reduction of what it leaves
 KERNEL_NAME = "python"
@@ -96,10 +94,6 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}, {self.cols}, {self.entries!r})"
 
 
-def zero_matrix(rows, cols):
-    return IntegerMatrix(rows, cols)
-
-
 @dataclass(frozen=True)
 class SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix, ones included.
@@ -137,6 +131,84 @@ def _divisor_chain(values):
                 d[i], d[i + 1] = g, a // g * b
                 changed = True
     return d
+
+
+def _min_abs_pivot(m, t, nr, nc):
+    # Smallest |entry| in the active submatrix m[t:, t:]; ties go to the
+    # lowest (row, col) because the scan is row-major and strict.
+    best = 0
+    bi = bj = -1
+    for i in range(t, nr):
+        mi = m[i]
+        for j in range(t, nc):
+            v = mi[j]
+            if v:
+                if v < 0:
+                    v = -v
+                if best == 0 or v < best:
+                    best, bi, bj = v, i, j
+                    if best == 1:
+                        return bi, bj, 1
+    return bi, bj, best
+
+
+def diagonalize(rows):
+    """Reduce an integer matrix to diagonal form with unimodular row and
+    column operations and return the positive diagonal entries.
+
+    This is the dense kernel for the block that sparse elimination
+    leaves.  It pivots on the entry of least absolute value, so it also
+    copes with blocks that hold no +-1 entry at all.  The entries come
+    back in pivot order with no divisibility normalization; the caller
+    is expected to sort them into an invariant factor chain.  ``rows`` is
+    a dense list of lists and is not modified.  All arithmetic is exact.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    m = [list(r) for r in rows]
+    diag = []
+    t = 0
+    while t < nr and t < nc:
+        pi, pj, pv = _min_abs_pivot(m, t, nr, nc)
+        if pv == 0:
+            break
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+        mt = m[t]
+        if mt[t] < 0:
+            mt[t:] = [-x for x in mt[t:]]
+        a = mt[t]
+        dirty = False
+        for i in range(t + 1, nr):
+            mi = m[i]
+            v = mi[t]
+            if not v:
+                continue
+            q, r = divmod(v, a)
+            if q:
+                mi[t:] = [x - q * y for x, y in zip(mi[t:], mt[t:])]
+            if r:
+                dirty = True
+        if dirty:
+            # The column now holds a remainder smaller than the pivot;
+            # rescan so it becomes the next pivot.
+            continue
+        for j in range(t + 1, nc):
+            # The column below the pivot is already clear, so a column
+            # shear only changes the pivot row.
+            r = mt[j] % a
+            if r != mt[j]:
+                mt[j] = r
+            if r:
+                dirty = True
+        if dirty:
+            continue
+        diag.append(a)
+        t += 1
+    return diag
 
 
 def smith_normal_form(m):
@@ -276,13 +348,6 @@ class AbelianGroup:
         return f"AbelianGroup({self.free_rank}, {self.torsion!r})"
 
 
-def direct_sum(*groups):
-    total = AbelianGroup(0)
-    for g in groups:
-        total = total + g
-    return total
-
-
 def homology_of_pair(d_in, d_out):
     """Homology at the middle of  . <-- d_in -- C -- d_out -- .
 
@@ -292,7 +357,7 @@ def homology_of_pair(d_in, d_out):
     ranks; the torsion is the nontrivial part of the invariant factors
     of d_out.
 
-    >>> homology_of_pair(zero_matrix(0, 1), IntegerMatrix(1, 1, {(0, 0): 2}))
+    >>> homology_of_pair(IntegerMatrix(0, 1), IntegerMatrix(1, 1, {(0, 0): 2}))
     AbelianGroup(0, (2,))
     """
     if d_in.cols != d_out.rows:

@@ -33,18 +33,22 @@ class PointedMSet:
     def __init__(self, alphabet, elements, action):
         problems = []
         elems = tuple(elements)
-        seen = set()
+        # the carrier holds each well-formed element name once; the others
+        # are reported here and take no further part
+        carrier = []
+        carrier_set = {BASEPOINT}
         for x in elems:
             if not isinstance(x, str) or not x:
                 problems.append(f"element {x!r} is not a nonempty string")
             elif x == BASEPOINT:
                 problems.append("element name '*' is reserved "
                                 "for the basepoint")
-            elif x in seen:
+            elif x in carrier_set:
                 problems.append(f"duplicate element {x!r}")
-            seen.add(x)
-        carrier = elems + (BASEPOINT,)
-        carrier_set = set(carrier)
+            else:
+                carrier.append(x)
+                carrier_set.add(x)
+        carrier.append(BASEPOINT)
         for x in action:
             if x not in carrier_set:
                 problems.append(f"action row for undeclared element {x!r}")
@@ -65,7 +69,7 @@ class PointedMSet:
                     problems.append(f"missing action entry ({x!r}, {e!r})")
                     continue
                 y = row[e]
-                if y not in carrier_set:
+                if not isinstance(y, str) or y not in carrier_set:
                     problems.append(f"action target {x!r}.{e!r} = {y!r} "
                                     "is not an element or the basepoint")
                 elif x == BASEPOINT and y != BASEPOINT:
@@ -96,12 +100,6 @@ class PointedMSet:
             return self._table[(x, e)]
         except KeyError:
             raise ValueError(f"no action entry for ({x!r}, {e!r})") from None
-
-    def apply_word(self, x, word):
-        """Act by a word of generators, left to right."""
-        for e in word:
-            x = self.act(x, e)
-        return x
 
     def __repr__(self):
         return (f"PointedMSet({len(self.elements)} elements over "
@@ -137,63 +135,6 @@ def fan_mset(alpha):
                                       {"x0": BASEPOINT, "x1": BASEPOINT})
 
 
-def is_full_action(m):
-    """True when every carrier point has the same image under every
-    generator (vacuously true with no generators)."""
-    gens = m.alphabet.generators
-    for x in m.carrier:
-        if len({m.act(x, e) for e in gens}) > 1:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class TransitionGraph:
-    nodes: tuple
-    edges: frozenset
-
-
-def transition_graph(m, reduced=True):
-    """Graph with an edge (x, y) iff every generator sends x to y.
-
-    With no generators the condition is vacuous and every pair is an
-    edge.  reduced=True drops the basepoint self-loop.
-    """
-    gens = m.alphabet.generators
-    edges = set()
-    for x in m.carrier:
-        if not gens:
-            edges.update((x, y) for y in m.carrier)
-            continue
-        images = {m.act(x, e) for e in gens}
-        if len(images) == 1:
-            edges.add((x, images.pop()))
-    if reduced:
-        edges.discard((BASEPOINT, BASEPOINT))
-    return TransitionGraph(m.carrier, frozenset(edges))
-
-
-def is_rooted_tree_at_basepoint(graph):
-    """True when every non-basepoint node has exactly one outgoing edge,
-    the basepoint has none, and following successors always reaches the
-    basepoint."""
-    out = defaultdict(list)
-    for x, y in graph.edges:
-        out[x].append(y)
-    for x in graph.nodes:
-        want = 0 if x == BASEPOINT else 1
-        if len(out[x]) != want:
-            return False
-    for x in graph.nodes:
-        seen = set()
-        while x != BASEPOINT:
-            if x in seen:
-                return False
-            seen.add(x)
-            x = out[x][0]
-    return True
-
-
 @dataclass(frozen=True)
 class ConditionsReport:
     """Whether an action is full and its reduced transition graph is a
@@ -209,15 +150,37 @@ class ConditionsReport:
 
 
 def check_conditions(m):
+    """The preconditions of the power and main identities, in one pass.
+
+    The action is full when all generators agree at every point.  Its
+    reduced transition graph has an edge x -> y when every generator
+    sends x to y; a point whose generators disagree has no edge, and the
+    basepoint's self-loop is dropped.  The graph is a tree rooted at the
+    basepoint when every element has an edge and following the edges
+    from it reaches the basepoint, so a self-loop or a cycle is not a
+    tree.  With no generators no element has an edge: only the
+    one-point action passes.
+    """
     violations = []
     gens = m.alphabet.generators
-    for x in m.carrier:
-        images = sorted({m.act(x, e) for e in gens})
-        if len(images) > 1:
+    successor = {}
+    for x in m.elements:
+        images = {m.act(x, e) for e in gens}
+        if len(images) == 1:
+            successor[x] = images.pop()
+        elif images:
             pairs = ", ".join(f"{x}.{e} = {m.act(x, e)}" for e in gens)
             violations.append(f"action not full at {x!r}: {pairs}")
     full = not violations
-    tree = is_rooted_tree_at_basepoint(transition_graph(m, reduced=True))
+    tree = len(successor) == len(m.elements)
+    rooted = {BASEPOINT}
+    for x in successor:
+        path = set()
+        while tree and x not in rooted:
+            tree = x not in path
+            path.add(x)
+            x = successor[x]
+        rooted |= path
     if not tree:
         violations.append(
             "reduced transition graph is not a tree rooted at the basepoint")

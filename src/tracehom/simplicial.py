@@ -10,7 +10,7 @@ from itertools import chain, combinations
 
 from .alphabet import IndependenceAlphabet, enumerate_cliques
 from .errors import ValidationError
-from .intlinalg import IntegerMatrix, homology_of_pair, zero_matrix
+from .intlinalg import IntegerMatrix, homology_of_pair
 
 
 class SimplicialComplex:
@@ -94,7 +94,7 @@ class SimplicialComplex:
         if k < 1:
             raise ValueError(f"boundary needs dimension >= 1, got {k}")
         if k > self.dim:
-            return zero_matrix(self.count(k - 1), 0)
+            return IntegerMatrix(self.count(k - 1), 0)
         faces = self._index[k - 1]
         entries = {}
         for col, simplex in enumerate(self.simplices[k]):
@@ -114,17 +114,6 @@ class SimplicialComplex:
         out = []
         for k in range(self.dim + 1):
             d_in = self.boundary_matrix(k) if k else self.augmentation()
-            out.append(homology_of_pair(d_in, self.boundary_matrix(k + 1)))
-        return out
-
-    def homology(self):
-        """Unreduced homology groups in degrees 0 .. dim."""
-        if not self.vertices:
-            return []
-        out = []
-        for k in range(self.dim + 1):
-            d_in = self.boundary_matrix(k) if k else \
-                zero_matrix(0, self.count(0))
             out.append(homology_of_pair(d_in, self.boundary_matrix(k + 1)))
         return out
 

@@ -19,12 +19,12 @@ passing silently.
 """
 
 from dataclasses import dataclass, field
-from math import factorial
 
 from .alphabet import clique_counts, max_clique_size
 from .chains import DELTA, PUNCTURED, homology
 from .intlinalg import AbelianGroup
-from .msets import chain_mset, check_conditions, fan_mset, iso_check, x0_mset
+from .msets import (bijection_count, chain_mset, check_conditions, fan_mset,
+                    iso_check, x0_mset)
 from .simplicial import clique_complex
 
 
@@ -179,4 +179,4 @@ def counterexample_report(alpha, max_degree=None):
         note = ("no generators: both actions degenerate to the same "
                 "trivial one, so they are isomorphic")
     return CounterexampleReport(witness is not None, witness,
-                                factorial(len(chain.elements)), tables, note)
+                                bijection_count(chain), tables, note)

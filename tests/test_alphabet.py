@@ -11,7 +11,7 @@ from helpers import alphabets, brute_force_cliques, random_alphabet
 
 from tracehom import ValidationError
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
-                               enumerate_cliques, is_clique, max_clique_size)
+                               enumerate_cliques, max_clique_size)
 from tracehom.simplicial import barycentric_flagification, read_face_list
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -65,14 +65,6 @@ def test_independent_unknown_generator():
         CYCLE4.independent("a", "z")
 
 
-def test_is_clique():
-    assert is_clique(CYCLE4, ("a", "b"))
-    assert not is_clique(CYCLE4, ("b", "a"))  # wrong order
-    assert not is_clique(CYCLE4, ("a", "c"))  # dependent
-    assert not is_clique(CYCLE4, ("a", "a"))
-    assert is_clique(CYCLE4, ())
-
-
 def test_enumerate_cliques_complete():
     assert enumerate_cliques(COMPLETE3, 2) == \
         [("a", "b"), ("a", "c"), ("b", "c")]
@@ -122,7 +114,6 @@ def test_cliques_match_brute_force():
             fast = enumerate_cliques(alpha, k)
             assert sorted(fast) == sorted(brute_force_cliques(alpha, k))
             assert len(set(fast)) == len(fast)
-            assert all(is_clique(alpha, K) for K in fast)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

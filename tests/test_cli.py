@@ -455,6 +455,49 @@ def test_missing_file():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, name", [
+    ((), "bad.json"),
+    (("--flagify",), "bad.txt"),
+])
+def test_non_utf8_input_named(tmp_path, args, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{}\n")
+    result = run("schema", path, *args)
+    assert result.exit_code == 2
+    assert f"{path}: not UTF-8 text" in result.stderr
+
+
+def test_malformed_independence_pairs_all_listed(tmp_path):
+    path = write(tmp_path, "pairs.json", {
+        "generators": ["a", "b"],
+        "independence": [[["a"], "b"], "ab", {"a": 1, "b": 2}],
+    })
+    result = run("schema", path)
+    assert result.exit_code == 2
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("error:")]
+    assert errors == [
+        "error: independence pair [['a'], 'b'] is not a pair of "
+        "generator names",
+        "error: independence pair 'ab' is not a pair of generator names",
+        "error: independence pair {'a': 1, 'b': 2} is not a pair of "
+        "generator names",
+    ]
+
+
+def test_malformed_element_and_target_all_listed(tmp_path):
+    path = write(tmp_path, "elements.json", {
+        "generators": ["e"],
+        "elements": [["x"], "x0"],
+        "action": {"x0": {"e": ["*"]}},
+    })
+    result = run("homology", path)
+    assert result.exit_code == 2
+    assert f"{path}: element ['x'] is not a nonempty string" in result.stderr
+    assert f"{path}: action target 'x0'.'e' = ['*'] is not an element " \
+        "or the basepoint" in result.stderr
+
+
 # --- console script -------------------------------------------------------
 
 SUBCOMMANDS = ("homology", "schema", "verify", "iso", "counterexample")

@@ -1,16 +1,16 @@
 import doctest
+import importlib
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
-import tracehom.alphabet
-import tracehom.chains
-import tracehom.intlinalg
-import tracehom.msets
-import tracehom.simplicial
-import tracehom.verify
+import tracehom
 
-MODULES = [tracehom.intlinalg, tracehom.alphabet, tracehom.msets,
-           tracehom.chains, tracehom.simplicial, tracehom.verify]
+MODULES = [importlib.import_module(f"tracehom.{info.name}")
+           for info in pkgutil.iter_modules(tracehom.__path__)]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("module", MODULES,
@@ -18,3 +18,15 @@ MODULES = [tracehom.intlinalg, tracehom.alphabet, tracehom.msets,
 def test_doctests(module):
     failed, _ = doctest.testmod(module)
     assert failed == 0
+
+
+def test_readme_library_block(capsys):
+    """Each line the README's Library example prints is the one its
+    trailing comment shows."""
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```",
+                      README.read_text(), re.M | re.S).group(1)
+    expected = [re.search(r"#\s*(\[.*\])\s*$", line).group(1)
+                for line in block.splitlines() if line.startswith("print(")]
+    assert expected
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -8,10 +8,9 @@ from tracehom import ValidationError
 from tracehom.alphabet import IndependenceAlphabet
 from tracehom.msets import (BASEPOINT, PointedMSet, bijection_count,
                             chain_mset, check_conditions, fan_mset,
-                            full_action_from_successor, is_full_action,
-                            is_rooted_tree_at_basepoint, iso_check,
-                            transition_graph, x0_mset)
+                            full_action_from_successor, iso_check, x0_mset)
 
+EMPTY = IndependenceAlphabet([])
 SINGLE = IndependenceAlphabet(["e"])
 PAIR_FREE = IndependenceAlphabet(["e1", "e2"])
 CYCLE4 = IndependenceAlphabet(
@@ -116,25 +115,13 @@ def test_same_image_always_commutes():
 
 # --- action --------------------------------------------------------------
 
-def test_apply_word():
-    m = chain_mset(CYCLE4)
-    assert m.apply_word("x0", []) == "x0"
-    assert m.apply_word("x0", ["a"]) == "x1"
-    assert m.apply_word("x0", ["a", "b"]) == BASEPOINT
-    assert m.apply_word(BASEPOINT, ["a", "b", "c"]) == BASEPOINT
-
-
-def test_apply_word_single_step_to_basepoint():
-    assert example_one_element().apply_word("x0", ["e"]) == BASEPOINT
-
-
 def test_independent_letters_interchange():
     rng = random.Random(4)
     for _ in range(15):
         m = random_mset(rng, random_alphabet(rng))
         for a, b in m.alphabet.pairs:
             for x in m.carrier:
-                assert m.apply_word(x, [a, b]) == m.apply_word(x, [b, a])
+                assert m.act(m.act(x, a), b) == m.act(m.act(x, b), a)
 
 
 def test_act_unknown_element():
@@ -144,47 +131,48 @@ def test_act_unknown_element():
 
 # --- full action / transition graph / conditions -------------------------
 
+# name -> (action builder, full, tree)
+CONDITIONS = {
+    "one_element": (example_one_element, True, True),
+    "chain": (lambda: chain_mset(CYCLE4), True, True),
+    "fan": (lambda: fan_mset(CYCLE4), True, True),
+    "fan_pair_free": (lambda: fan_mset(PAIR_FREE), True, True),
+    "two_cycle": (lambda: full_action_from_successor(
+        SINGLE, {"x0": "x1", "x1": "x0"}), True, False),
+    "element_self_loop": (lambda: full_action_from_successor(
+        SINGLE, {"x0": "x0"}), True, False),
+    "self_loop_below_element": (lambda: full_action_from_successor(
+        SINGLE, {"x0": "x1", "x1": "x1"}), True, False),
+    "not_full": (not_full_mset, False, False),
+    "no_generators_one_element": (
+        lambda: PointedMSet(EMPTY, ["x0"], {"x0": {}}), True, False),
+    "no_generators_no_elements": (
+        lambda: PointedMSet(EMPTY, [], {}), True, True),
+}
+
+
+@pytest.mark.parametrize("name", CONDITIONS)
+def test_check_conditions_table(name):
+    make, full, tree = CONDITIONS[name]
+    report = check_conditions(make())
+    assert (report.full, report.tree) == (full, tree)
+    assert report.satisfied == (full and tree)
+    assert (report.violations == ()) == (full and tree)
+
+
 def test_is_full_action():
-    assert is_full_action(fan_mset(PAIR_FREE))
-    assert not is_full_action(not_full_mset())
-    assert is_full_action(PointedMSet(PAIR_FREE, [], {}))
-
-
-def test_transition_graph_reduced():
-    g = transition_graph(example_one_element())
-    assert g.edges == frozenset({("x0", BASEPOINT)})
-
-
-def test_transition_graph_unreduced_keeps_basepoint_loop():
-    g = transition_graph(example_one_element(), reduced=False)
-    assert g.edges == frozenset({("x0", BASEPOINT),
-                                 (BASEPOINT, BASEPOINT)})
-
-
-def test_transition_graph_fan():
-    g = transition_graph(fan_mset(PAIR_FREE))
-    assert g.edges == frozenset({("x0", BASEPOINT), ("x1", BASEPOINT)})
+    assert check_conditions(fan_mset(PAIR_FREE)).full
+    assert not check_conditions(not_full_mset()).full
+    assert check_conditions(PointedMSet(PAIR_FREE, [], {})).full
 
 
 def test_transition_graph_disagreement_gives_no_edge():
-    g = transition_graph(not_full_mset())
-    assert g.edges == frozenset({("x1", BASEPOINT)})
-
-
-def test_transition_graph_no_generators_is_complete():
-    empty = IndependenceAlphabet([])
-    m = PointedMSet(empty, ["x0"], {"x0": {}})
-    g = transition_graph(m, reduced=False)
-    assert len(g.edges) == 4
-
-
-def test_rooted_tree_checks():
-    assert is_rooted_tree_at_basepoint(transition_graph(chain_mset(CYCLE4)))
-    assert is_rooted_tree_at_basepoint(transition_graph(fan_mset(CYCLE4)))
-    two_cycle = full_action_from_successor(SINGLE, {"x0": "x1", "x1": "x0"})
-    assert not is_rooted_tree_at_basepoint(transition_graph(two_cycle))
-    loop = full_action_from_successor(SINGLE, {"x0": "x0"})
-    assert not is_rooted_tree_at_basepoint(transition_graph(loop))
+    # x0's generators disagree, so x0 has no edge and the graph is no
+    # tree; x1 keeps its edge to the basepoint and is not reported
+    report = check_conditions(not_full_mset())
+    assert not report.tree
+    assert [v for v in report.violations if "not full" in v] == [
+        "action not full at 'x0': x0.e1 = x1, x0.e2 = *"]
 
 
 def test_check_conditions_fan_of_three():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from helpers import alphabets, random_alphabet, random_mset
 
 from tracehom.alphabet import IndependenceAlphabet
-from tracehom.intlinalg import AbelianGroup, direct_sum
+from tracehom.intlinalg import AbelianGroup
 from tracehom.msets import (BASEPOINT, PointedMSet,
                             full_action_from_successor, x0_mset)
 from tracehom.verify import (ALL_CHECKS, DegreeComparison,
@@ -47,10 +47,10 @@ def test_groups_isomorphic():
 
 
 def test_direct_sum_examples():
-    assert direct_sum(AbelianGroup(2, (2,)), Z) == AbelianGroup(3, (2,))
-    assert direct_sum(AbelianGroup(0, (2,)), AbelianGroup(0, (2,))) == \
+    assert AbelianGroup(2, (2,)) + Z == AbelianGroup(3, (2,))
+    assert AbelianGroup(0, (2,)) + AbelianGroup(0, (2,)) == \
         AbelianGroup(0, (2, 2))
-    assert direct_sum(AbelianGroup(0, (2,)), AbelianGroup(0, (3,))) == \
+    assert AbelianGroup(0, (2,)) + AbelianGroup(0, (3,)) == \
         AbelianGroup(0, (6,))
 
 
