@@ -10,6 +10,18 @@ where the first term is dropped whenever the coefficient group at
 x.e_s has rank 0; a step between two rank-1 points acts as the
 identity.  Three built-in coefficient systems cover the constant, the
 basepoint-punctured, and the basepoint-only cases.
+
+Bases are element-major: with p_n the number of n-cliques, basis
+element (point k, clique c) of degree n sits at index k * p_n + c.  A
+boundary is assembled from a face table computed once per call: for
+each n-clique, the index of each face K minus e_s in level n-1, the
+generator e_s and the sign.  Rows and columns are then index
+arithmetic on each point's images under the generators, looked up once
+per point.  The two terms of a face cancel when x.e_s = x and are left
+out; no other two terms of a column share a row, so each entry is
+stored once, as +-1, straight into the matrix.  Only the public
+``IntegerMatrix`` constructor validates entries; the builder's are
+handed over unchecked.
 """
 
 from .alphabet import enumerate_cliques, max_clique_size
@@ -56,34 +68,53 @@ def enumerate_basis(m, system, degree):
     trivial are skipped.
     """
     cliques = enumerate_cliques(m.alphabet, degree)
-    return [(x, K) for x in m.carrier if system.value_at(x)
-            for K in cliques]
+    return [(x, K) for x in _basis_points(m, system) for K in cliques]
+
+
+def _basis_points(m, system):
+    """Carrier points whose coefficient group has rank 1, in basis order."""
+    return [x for x in m.carrier if system.value_at(x)]
 
 
 def boundary_matrix(m, system, degree):
-    """Matrix of the degree-n boundary over the degree n-1 basis."""
+    """Matrix of the degree-n boundary over the degree n-1 basis, from
+    the face table of the n-cliques (see the module docstring)."""
     if degree < 1:
         raise ValueError(f"boundary needs degree >= 1, got {degree}")
-    lower = enumerate_basis(m, system, degree - 1)
-    upper = enumerate_basis(m, system, degree)
-    index = {b: i for i, b in enumerate(lower)}
+    alpha = m.alphabet
+    lower = enumerate_cliques(alpha, degree - 1)
+    upper = enumerate_cliques(alpha, degree)
+    p_lo, p_up = len(lower), len(upper)
+    position = {g: s for s, g in enumerate(alpha.generators)}
+    face_index = {K: f for f, K in enumerate(lower)}
+    # face table: per n-clique, (face index, generator position, sign)
+    # for s = 0 .. n-1, the sign being (-1)^(s+1)
+    faces = [[(face_index[K[:s] + K[s + 1:]], position[K[s]],
+               1 if s % 2 else -1) for s in range(len(K))]
+             for K in upper]
+    points = _basis_points(m, system)
+    where = {x: k for k, x in enumerate(points)}
     entries = {}
-
-    def add(row, col, v):
-        key = (row, col)
-        entries[key] = entries.get(key, 0) + v
-
-    for col, (x, K) in enumerate(upper):
-        for s in range(1, len(K) + 1):
-            e = K[s - 1]
-            face = K[:s - 1] + K[s:]
-            sign = -1 if s % 2 else 1
-            y = m.act(x, e)
-            if system.value_at(y):
-                add(index[(y, face)], col, sign)
-            add(index[(x, face)], col, -sign)
-
-    return IntegerMatrix(len(lower), len(upper), entries)
+    col = 0
+    for k, x in enumerate(points):
+        # row offset of each generator's image: None for a point of rank
+        # 0, -1 for x itself, where the face's two terms cancel
+        image = []
+        for e in alpha.generators:
+            j = where.get(m.act(x, e))
+            image.append(None if j is None else -1 if j == k else j * p_lo)
+        own = k * p_lo
+        for clique_faces in faces:
+            for f, s, sign in clique_faces:
+                y = image[s]
+                if y == -1:
+                    continue
+                if y is not None:
+                    entries[(y + f, col)] = sign
+                entries[(own + f, col)] = -sign
+            col += 1
+    return IntegerMatrix._unchecked(len(points) * p_lo, len(points) * p_up,
+                                    entries)
 
 
 class ChainComplex:

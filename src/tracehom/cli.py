@@ -63,7 +63,7 @@ def _parse_alphabet(path, doc):
     try:
         alpha = IndependenceAlphabet(generators, independence)
     except ValidationError as exc:
-        _die(problems + list(exc.problems))
+        _die(problems + [f"{path}: {p}" for p in exc.problems])
     if problems:
         _die(problems)
     return alpha

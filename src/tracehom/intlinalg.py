@@ -46,6 +46,17 @@ class IntegerMatrix:
         self.entries = clean
 
     @classmethod
+    def _unchecked(cls, rows, cols, entries):
+        """Wrap entries that are known to be nonzero integers inside the
+        shape, without checking or copying them; only the public
+        constructor validates."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_rows(cls, dense):
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
@@ -82,7 +93,8 @@ class IntegerMatrix:
             for j, b in by_row.get(k, ()):
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + a * b
-        return IntegerMatrix(self.rows, other.cols, acc)
+        return IntegerMatrix._unchecked(
+            self.rows, other.cols, {key: v for key, v in acc.items() if v})
 
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -241,8 +253,16 @@ def smith_normal_form(m):
     for (i, j), v in m.entries.items():
         if flip:
             i, j = j, i
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
+        row = rows.get(i)
+        if row is None:
+            rows[i] = {j: v}
+        else:
+            row[j] = v
+        col = cols.get(j)
+        if col is None:
+            cols[j] = {i}
+        else:
+            col.add(i)
     units = 0
     for j in sorted(cols):
         col = cols[j]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from tracehom import (BASEPOINT, IndependenceAlphabet, IntegerMatrix,
                       PointedMSet, barycentric_flagification,
-                      enumerate_cliques, full_action_from_successor)
+                      enumerate_basis, enumerate_cliques,
+                      full_action_from_successor)
 
 #: the six-vertex triangulation of the projective plane
 RP2_TRIANGLES = ["124", "126", "134", "135", "156",
@@ -109,14 +110,70 @@ def random_alphabet(rng, max_size=6, min_size=1):
 
 
 @st.composite
-def alphabets(draw, max_size=10):
+def alphabets(draw, max_size=10, min_size=0):
     """Hypothesis strategy: generators e0, e1, ... with each pair drawn
     independent or not."""
-    gens = [f"e{k}" for k in range(draw(st.integers(0, max_size)))]
+    gens = [f"e{k}" for k in range(draw(st.integers(min_size, max_size)))]
     pairs = list(combinations(gens, 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
     return IndependenceAlphabet(gens, [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def actions(draw, alpha, max_elements=4):
+    """Hypothesis strategy: a valid action over alpha.
+
+    A generator with an independent partner acts as a power of one
+    shared function f (powers of f commute); the power 0 is the identity
+    and f may fix points, so x.e = x is drawn often.  A generator with
+    no partner needs to commute with nothing and acts by any table."""
+    names = [f"x{k}" for k in range(draw(st.integers(0, max_elements)))]
+    carrier = names + [BASEPOINT]
+    points = st.sampled_from(carrier)
+    f = {x: draw(points) for x in names}
+    f[BASEPOINT] = BASEPOINT
+    partnered = {g for pair in alpha.pairs for g in pair}
+    action = {x: {} for x in names}
+    for e in alpha.generators:
+        if e in partnered:
+            power = draw(st.integers(0, 2))
+            for x in names:
+                y = x
+                for _ in range(power):
+                    y = f[y]
+                action[x][e] = y
+        else:
+            for x in names:
+                action[x][e] = draw(points)
+    return PointedMSet(alpha, names, action)
+
+
+def reference_boundary(m, system, degree):
+    """The degree-n boundary built term by term: every (x, K) basis
+    element is indexed by a dict, and the two terms of each face are
+    added up, so terms that cancel sum to a zero the public constructor
+    drops."""
+    lower = enumerate_basis(m, system, degree - 1)
+    upper = enumerate_basis(m, system, degree)
+    index = {b: i for i, b in enumerate(lower)}
+    entries = {}
+
+    def add(row, col, v):
+        key = (row, col)
+        entries[key] = entries.get(key, 0) + v
+
+    for col, (x, K) in enumerate(upper):
+        for s in range(1, len(K) + 1):
+            e = K[s - 1]
+            face = K[:s - 1] + K[s:]
+            sign = -1 if s % 2 else 1
+            y = m.act(x, e)
+            if system.value_at(y):
+                add(index[(y, face)], col, sign)
+            add(index[(x, face)], col, -sign)
+
+    return IntegerMatrix(len(lower), len(upper), entries)
 
 
 def random_mset(rng, alpha, max_elements=4):

@@ -477,12 +477,28 @@ def test_malformed_independence_pairs_all_listed(tmp_path):
     errors = [line for line in result.stderr.splitlines()
               if line.startswith("error:")]
     assert errors == [
-        "error: independence pair [['a'], 'b'] is not a pair of "
+        f"error: {path}: independence pair [['a'], 'b'] is not a pair of "
         "generator names",
-        "error: independence pair 'ab' is not a pair of generator names",
-        "error: independence pair {'a': 1, 'b': 2} is not a pair of "
+        f"error: {path}: independence pair 'ab' is not a pair of "
         "generator names",
+        f"error: {path}: independence pair {{'a': 1, 'b': 2}} is not a "
+        "pair of generator names",
     ]
+
+
+@pytest.mark.parametrize("bad_side", [0, 1])
+def test_iso_names_the_file_with_the_malformed_alphabet(tmp_path, bad_side):
+    good = {"generators": ["a", "b"], "elements": ["x0"],
+            "action": {"x0": {"a": "*", "b": "*"}}}
+    bad = dict(good, independence=["ab"])
+    paths = [write(tmp_path, "l.json", bad if bad_side == 0 else good),
+             write(tmp_path, "r.json", bad if bad_side == 1 else good)]
+    result = run("iso", *paths)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: {paths[bad_side]}: independence pair 'ab' is not a pair "
+        "of generator names"]
+    assert str(paths[1 - bad_side]) not in result.stderr
 
 
 def test_malformed_element_and_target_all_listed(tmp_path):
@@ -511,6 +527,13 @@ def assert_help_lists_subcommands(done):
     assert set(SUBCOMMANDS) <= listed
 
 
+def checkout_env():
+    """The environment with the checkout's src/ first on PYTHONPATH."""
+    pythonpath = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
 def test_console_script(tmp_path):
     # Runs the entry point that pyproject.toml declares the way the
     # wrapper script generated by an install does, but from the
@@ -525,10 +548,15 @@ def test_console_script(tmp_path):
                f"from {module} import {attr}\n"
                f"sys.argv[0] = 'tracehom'\n"
                f"sys.exit({attr}())\n")
-    pythonpath = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     done = subprocess.run([sys.executable, "-c", wrapper, "--help"],
-                          cwd=tmp_path, env=env,
+                          cwd=tmp_path, env=checkout_env(),
+                          capture_output=True, text=True)
+    assert_help_lists_subcommands(done)
+
+
+def test_python_m_tracehom(tmp_path):
+    done = subprocess.run([sys.executable, "-m", "tracehom", "--help"],
+                          cwd=tmp_path, env=checkout_env(),
                           capture_output=True, text=True)
     assert_help_lists_subcommands(done)
 

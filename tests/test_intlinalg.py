@@ -39,8 +39,9 @@ def test_negative_dimensions_rejected():
 
 
 def test_entry_outside_shape_rejected():
-    with pytest.raises(ShapeError):
-        IntegerMatrix(2, 2, {(2, 0): 1})
+    for key in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(ShapeError):
+            IntegerMatrix(2, 2, {key: 1})
 
 
 def test_zero_entries_dropped():
@@ -52,6 +53,19 @@ def test_matmul_known_product():
     a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
     b = IntegerMatrix.from_rows([[0, 1], [1, 0]])
     assert (a @ b).to_rows() == [[2, 1], [4, 3]]
+
+
+def test_matmul_stores_no_zeros():
+    # a product that cancels to zero stores nothing
+    zero = IntegerMatrix.from_rows([[1, 1]]) @ \
+        IntegerMatrix.from_rows([[1], [-1]])
+    assert (zero.rows, zero.cols, zero.entries) == (1, 1, {})
+    assert zero.is_zero()
+    # [[1, 1], [1, 0]] @ [[1, 2], [-1, 3]] = [[0, 5], [1, 2]]
+    partial = IntegerMatrix.from_rows([[1, 1], [1, 0]]) @ \
+        IntegerMatrix.from_rows([[1, 2], [-1, 3]])
+    assert partial.entries == {(0, 1): 5, (1, 0): 1, (1, 1): 2}
+    assert partial.to_rows() == [[0, 5], [1, 2]]
 
 
 def test_matmul_shape_mismatch():

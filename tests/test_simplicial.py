@@ -4,7 +4,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from helpers import RP2_TRIANGLES, random_alphabet
+from hypothesis import given, settings
+from helpers import RP2_TRIANGLES, alphabets, random_alphabet
 
 from tracehom import ValidationError
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
@@ -140,6 +141,17 @@ def test_clique_complex_counts_match():
         assert [cx.count(k) for k in range(cx.dim + 1)] == counts[1:]
         assert cx.euler_characteristic() == \
             sum((-1) ** k * p for k, p in enumerate(counts[1:]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(alphabets(max_size=8, min_size=1))
+def test_reduced_euler_characteristic_matches_homology(alpha):
+    """Sum of (-1)^n rank of reduced H_n equals the Euler characteristic
+    minus one, the empty simplex's term."""
+    cx = clique_complex(alpha)
+    ranks = sum((-1) ** n * g.free_rank
+                for n, g in enumerate(cx.reduced_homology()))
+    assert ranks == cx.euler_characteristic() - 1
 
 
 # --- face lists ----------------------------------------------------------
