@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from tracehom import alphabet
+from tracehom import alphabet, verify
 from tracehom.chains import SYSTEMS, homology
+from tracehom.intlinalg import AbelianGroup
 from tracehom.cli import main
 from tracehom.msets import PointedMSet
 from tracehom.alphabet import IndependenceAlphabet
@@ -455,6 +456,55 @@ def test_missing_file():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, token", [
+    ((), "COMMAND"),
+    (("frob",), "frob"),
+    (("homology",), "PROBLEM"),
+    (("homology", "{x0}", "--coeff", "bogus"), "bogus"),
+    (("homology", "{x0}", "--max-degree", "x"), "'x'"),
+    (("homology", "{x0}", "--form", "json"), "--form"),
+    (("homology", "{missing}"), "{missing}"),
+    (("homology", "{dir}"), "{dir}"),
+    (("schema", "{dir}", "--flagify"), "{dir}"),
+    (("iso", "{x0}", "{missing}"), "{missing}"),
+], ids=["no-command", "unknown-command", "no-problem", "bad-coeff",
+        "bad-max-degree", "abbreviated-option", "missing-file",
+        "directory", "flagify-directory", "iso-right-missing"])
+def test_usage_errors_and_unreadable_inputs_exit_2(tmp_path, args, token):
+    """Exit 2, nothing on stdout, and stderr names what was wrong."""
+    paths = {"x0": PROBLEMS / "x0_cycle4.json", "dir": tmp_path,
+             "missing": tmp_path / "missing.json"}
+    result = run(*(a.format(**paths) for a in args))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert token.format(**paths) in result.stderr
+
+
+def test_main_in_process(capsys, monkeypatch):
+    """``main(argv, standalone_mode=False)``, as the benchmark drives it:
+    it returns on success and raises SystemExit with the exit code
+    otherwise."""
+    def call(*args):
+        return main([str(a) for a in args], standalone_mode=False)
+
+    call("homology", PROBLEMS / "x0_cycle4.json")
+    assert "H_2 = Z^5" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        call("iso", PROBLEMS / "chain2_cycle4.json",
+             PROBLEMS / "fan2_cycle4.json")
+    assert exc.value.code == 1
+    monkeypatch.setattr(verify, "check_theorem_aug", lambda alpha, top: (
+        verify.VerificationReport("aug", True, (verify.DegreeComparison(
+            1, AbelianGroup(1), AbelianGroup(0)),))))
+    with pytest.raises(SystemExit) as exc:
+        call("verify", PROBLEMS / "cycle4.json", "--which", "aug")
+    assert exc.value.code == 1
+    assert "[FAIL] aug degree 1: Z = 0" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        call("schema", PROBLEMS / "rp2_faces.txt")
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("args, name", [
     ((), "bad.json"),
     (("--flagify",), "bad.txt"),
@@ -552,6 +602,17 @@ def test_console_script(tmp_path):
                           cwd=tmp_path, env=checkout_env(),
                           capture_output=True, text=True)
     assert_help_lists_subcommands(done)
+
+
+def test_non_ascii_output_survives_an_ascii_stdout(tmp_path):
+    """A line stdout cannot encode is written as UTF-8, not lost."""
+    done = subprocess.run(
+        [sys.executable, "-m", "tracehom", "schema",
+         str(PROBLEMS / "cycle4.json")],
+        cwd=tmp_path, env=dict(checkout_env(), PYTHONIOENCODING="ascii"),
+        capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert b"H\xcc\x83_0 = 0" in done.stdout
 
 
 def test_python_m_tracehom(tmp_path):
