@@ -118,26 +118,26 @@ def boundary_matrix(m, system, degree):
 
 
 class ChainComplex:
-    """Bases and boundary maps for degrees 0 .. top.
+    """Dimensions and boundary maps of degrees 0 .. top.
 
     top is the largest clique size of the alphabet, above which every
     degree is zero, unless the complex was built with a lower bound.
     Boundary maps at the ends are zero maps of the right shape.
     """
 
-    __slots__ = ("bases", "_boundaries")
+    __slots__ = ("dims", "_boundaries")
 
-    def __init__(self, bases, boundaries):
-        self.bases = bases
+    def __init__(self, dims, boundaries):
+        self.dims = dims
         self._boundaries = boundaries
 
     @property
     def top(self):
-        return len(self.bases) - 1
+        return len(self.dims) - 1
 
     def dim(self, n):
         if 0 <= n <= self.top:
-            return len(self.bases[n])
+            return self.dims[n]
         return 0
 
     def boundary(self, n):
@@ -158,17 +158,21 @@ class ChainComplex:
 
 
 def build_complex(m, system, top=None):
-    """Assemble the bases and boundaries of degrees 0 .. top.
+    """Assemble the dimensions and boundaries of degrees 0 .. top.
 
     top defaults to the largest clique size; a lower one leaves every
-    clique above it unlisted.  That d o d = 0 is checked where homology
-    is taken, by ``homology_of_pair``.
+    clique above it unlisted.  Degree n has dimension (points of rank 1)
+    x (n-cliques); its basis is never listed.  That d o d = 0 is checked
+    where homology is taken, by ``homology_of_pair``.
     """
+    alpha = m.alphabet
     if top is None:
-        top = max_clique_size(m.alphabet)
-    bases = [enumerate_basis(m, system, n) for n in range(top + 1)]
+        top = max_clique_size(alpha)
+    points = len(_basis_points(m, system))
+    dims = [points * len(enumerate_cliques(alpha, n))
+            for n in range(top + 1)]
     boundaries = [boundary_matrix(m, system, n) for n in range(1, top + 1)]
-    return ChainComplex(bases, boundaries)
+    return ChainComplex(dims, boundaries)
 
 
 def homology(m, system, max_degree=None):

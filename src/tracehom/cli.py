@@ -4,14 +4,12 @@ Problem files are JSON objects with keys "generators", "independence",
 and optionally "elements" and "action" (together).  The basepoint is
 spelled "*"; an omitted "*" row in the action table means fixity.
 Exit codes: 0 success, 1 a semantic check failed (a FAIL verdict or a
-negative isomorphism test), 2 malformed input.
+negative isomorphism test), 2 a usage error or malformed input.
 """
 
+import argparse
 import json
 import sys
-from pathlib import Path
-
-import click
 
 from . import chains, verify
 from .alphabet import IndependenceAlphabet, clique_counts
@@ -23,15 +21,29 @@ from .simplicial import (barycentric_flagification, clique_complex,
 _DOCUMENT_KEYS = {"generators", "independence", "elements", "action"}
 
 
+def _echo(line, stream=None):
+    """Write one line to stdout (or stream).  A line the stream cannot
+    encode, say under an ASCII locale, goes to its buffer as UTF-8."""
+    stream = stream or sys.stdout
+    line += "\n"
+    try:
+        stream.write(line)
+    except UnicodeEncodeError:
+        stream.flush()
+        stream.buffer.write(line.encode("utf-8"))
+
+
 def _die(problems):
     for p in problems:
-        click.echo(f"error: {p}", err=True)
+        _echo(f"error: {p}", sys.stderr)
     sys.exit(2)
 
 
 def _read_text(path):
+    """The file's text; exit 2 naming the path if it cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         _die([str(exc)])
     except UnicodeDecodeError as exc:
@@ -106,50 +118,22 @@ def _group_json(g):
     return {"rank": g.free_rank, "torsion": list(g.torsion)}
 
 
-_coeff_option = click.option(
-    "--coeff", type=click.Choice(sorted(chains.SYSTEMS)), default="delta",
-    show_default=True, help="Coefficient system.")
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["human", "json"]),
-    default="human", show_default=True, help="Output format.")
-_degree_option = click.option(
-    "--max-degree", type=int, default=None,
-    help="Compute and report degrees up to this bound (default: largest "
-         "clique size); a negative bound reports none.")
-
-
-@click.group()
-def main():
-    """Exact integer homology of pointed sets over trace monoids."""
-
-
-@main.command("homology")
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_coeff_option
-@_format_option
-@_degree_option
 def cmd_homology(problem, coeff, fmt, max_degree):
     """Homology of the action in a problem file, one group per degree."""
     _, m = _load_problem(problem, need_action=True)
     groups = chains.homology(m, chains.SYSTEMS[coeff], max_degree)
     if fmt == "json":
-        click.echo(json.dumps({
+        _echo(json.dumps({
             "coefficients": coeff,
             "homology": [{"degree": n, **_group_json(g)}
                          for n, g in enumerate(groups)],
         }, indent=2))
     else:
-        click.echo(f"coefficients: {coeff}")
+        _echo(f"coefficients: {coeff}")
         for n, g in enumerate(groups):
-            click.echo(f"H_{n} = {g}")
+            _echo(f"H_{n} = {g}")
 
 
-@main.command("schema")
-@click.argument("source", type=click.Path(exists=True, dir_okay=False))
-@click.option("--flagify", is_flag=True,
-              help="Treat SOURCE as a face list (one maximal face per "
-                   "line) and build the alphabet of its faces first.")
-@_format_option
 def cmd_schema(source, flagify, fmt):
     """Clique counts and reduced homology of the clique complex."""
     if flagify:
@@ -163,26 +147,20 @@ def cmd_schema(source, flagify, fmt):
     counts = clique_counts(alpha)
     reduced = clique_complex(alpha).reduced_homology()
     if fmt == "json":
-        click.echo(json.dumps({
+        _echo(json.dumps({
             "generators": list(alpha.generators),
             "clique_counts": counts,
             "reduced_homology": [{"degree": n, **_group_json(g)}
                                  for n, g in enumerate(reduced)],
         }, indent=2))
         return
-    click.echo(f"p = {counts}")
+    _echo(f"p = {counts}")
     if not reduced:
-        click.echo("empty schema: no generators, nothing to report")
+        _echo("empty schema: no generators, nothing to report")
     for n, g in enumerate(reduced):
-        click.echo(f"H̃_{n} = {g}")
+        _echo(f"H̃_{n} = {g}")
 
 
-@main.command("verify")
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@click.option("--which", type=click.Choice(verify.ALL_CHECKS + ("all",)),
-              default="all", show_default=True, help="Which identity.")
-@_format_option
-@_degree_option
 def cmd_verify(problem, which, fmt, max_degree):
     """Check the decomposition identities on a problem file.
 
@@ -205,7 +183,7 @@ def cmd_verify(problem, which, fmt, max_degree):
         else:
             reports.append(verify.check_theorem_main(m, max_degree))
     if fmt == "json":
-        click.echo(json.dumps({"checks": [{
+        _echo(json.dumps({"checks": [{
             "claim": r.claim,
             "status": r.status,
             "note": r.note,
@@ -217,21 +195,18 @@ def cmd_verify(problem, which, fmt, max_degree):
     else:
         for r in reports:
             if not r.applicable:
-                click.echo(f"[N-A ] {r.claim}: {r.note}")
+                _echo(f"[N-A ] {r.claim}: {r.note}")
                 continue
             for c in r.comparisons:
                 mark = "PASS" if c.ok else "FAIL"
-                click.echo(f"[{mark}] {r.claim} degree {c.degree}: "
-                           f"{c.lhs} = {c.rhs}")
+                _echo(f"[{mark}] {r.claim} degree {c.degree}: "
+                      f"{c.lhs} = {c.rhs}")
             if not r.comparisons:
-                click.echo(f"[PASS] {r.claim}: no degrees to check")
-    sys.exit(1 if any(r.applicable and not r.holds for r in reports) else 0)
+                _echo(f"[PASS] {r.claim}: no degrees to check")
+    if any(r.applicable and not r.holds for r in reports):
+        sys.exit(1)
 
 
-@main.command("iso")
-@click.argument("left", type=click.Path(exists=True, dir_okay=False))
-@click.argument("right", type=click.Path(exists=True, dir_okay=False))
-@_format_option
 def cmd_iso(left, right, fmt):
     """Decide basepoint-preserving equivariant isomorphism of two
     actions over the same alphabet.  Exits 1 when there is none."""
@@ -243,30 +218,27 @@ def cmd_iso(left, right, fmt):
     searched = bijection_count(m_l) if \
         len(m_l.elements) == len(m_r.elements) else 0
     if fmt == "json":
-        click.echo(json.dumps({"isomorphic": witness is not None,
-                               "witness": witness,
-                               "bijections_searched": searched}, indent=2))
+        _echo(json.dumps({"isomorphic": witness is not None,
+                          "witness": witness,
+                          "bijections_searched": searched}, indent=2))
     elif witness is None:
-        click.echo(f"NOT ISOMORPHIC (searched {searched} "
-                   "basepoint-preserving bijections)")
+        _echo(f"NOT ISOMORPHIC (searched {searched} "
+              "basepoint-preserving bijections)")
     else:
-        click.echo("ISOMORPHIC")
+        _echo("ISOMORPHIC")
         for x in sorted(witness):
-            click.echo(f"  {x} -> {witness[x]}")
-    sys.exit(0 if witness is not None else 1)
+            _echo(f"  {x} -> {witness[x]}")
+    if witness is None:
+        sys.exit(1)
 
 
-@main.command("counterexample")
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_format_option
-@_degree_option
 def cmd_counterexample(problem, fmt, max_degree):
     """Build the chain and fan actions over the file's alphabet and show
     they are non-isomorphic with identical homology."""
     alpha, _ = _load_problem(problem, need_action=False)
     report = verify.counterexample_report(alpha, max_degree)
     if fmt == "json":
-        click.echo(json.dumps({
+        _echo(json.dumps({
             "isomorphic": report.isomorphic,
             "witness": report.witness,
             "bijections_searched": report.bijections_searched,
@@ -279,22 +251,76 @@ def cmd_counterexample(problem, fmt, max_degree):
                        for name, table in report.tables.items()},
         }, indent=2))
         return
-    click.echo(f"alphabet: {len(alpha.generators)} generators, "
-               f"{len(alpha.pairs)} independence pairs")
-    click.echo("actions: chain x0 -> x1 -> *  vs  fan x0 -> *, x1 -> *")
+    _echo(f"alphabet: {len(alpha.generators)} generators, "
+          f"{len(alpha.pairs)} independence pairs")
+    _echo("actions: chain x0 -> x1 -> *  vs  fan x0 -> *, x1 -> *")
     iso_text = "YES" if report.isomorphic else "NO"
-    click.echo(f"isomorphic: {iso_text} (searched "
-               f"{report.bijections_searched} bijections)")
+    _echo(f"isomorphic: {iso_text} (searched "
+          f"{report.bijections_searched} bijections)")
     if report.note:
-        click.echo(f"note: {report.note}")
+        _echo(f"note: {report.note}")
     for name, table in report.tables.items():
-        click.echo(f"{name}:")
+        _echo(f"{name}:")
         for c in table:
             mark = "ok" if c.ok else "MISMATCH"
-            click.echo(f"  H_{c.degree}: {c.lhs} = {c.rhs}  {mark}")
+            _echo(f"  H_{c.degree}: {c.lhs} = {c.rhs}  {mark}")
     if not report.isomorphic and report.homology_equal:
-        click.echo("verdict: non-isomorphic actions, identical homology")
+        _echo("verdict: non-isomorphic actions, identical homology")
 
 
-if __name__ == "__main__":
-    main()
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="tracehom", allow_abbrev=False,
+        description="Exact integer homology of pointed sets over trace "
+                    "monoids.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run, *positionals, coeff=False, max_degree=False):
+        doc = run.__doc__
+        sub = commands.add_parser(name, allow_abbrev=False,
+                                  help=doc.split("\n\n")[0],
+                                  description=doc)
+        sub.set_defaults(run=run)
+        for metavar in positionals:
+            sub.add_argument(metavar.lower(), metavar=metavar)
+        if coeff:
+            sub.add_argument("--coeff", choices=sorted(chains.SYSTEMS),
+                             default="delta",
+                             help="Coefficient system (default: delta).")
+        sub.add_argument("--format", dest="fmt", choices=["human", "json"],
+                         default="human",
+                         help="Output format (default: human).")
+        if max_degree:
+            sub.add_argument(
+                "--max-degree", type=int, metavar="N",
+                help="Compute and report degrees up to this bound "
+                     "(default: largest clique size); a negative bound "
+                     "reports none.")
+        return sub
+
+    command("homology", cmd_homology, "PROBLEM", coeff=True, max_degree=True)
+    command("schema", cmd_schema, "SOURCE").add_argument(
+        "--flagify", action="store_true",
+        help="Treat SOURCE as a face list (one maximal face per line) and "
+             "build the alphabet of its faces first.")
+    command("verify", cmd_verify, "PROBLEM", max_degree=True).add_argument(
+        "--which", choices=verify.ALL_CHECKS + ("all",), default="all",
+        help="Which identity (default: all).")
+    command("iso", cmd_iso, "LEFT", "RIGHT")
+    command("counterexample", cmd_counterexample, "PROBLEM", max_degree=True)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(argv=None, standalone_mode=True):
+    """Run the command line on argv (default: sys.argv[1:]).
+
+    Returns on success and otherwise raises SystemExit with exit code 1
+    or 2 (see the module docstring).  standalone_mode is accepted and
+    ignored: the benchmark (``perfbench/worker.py``) passes
+    ``standalone_mode=False``.
+    """
+    args = vars(_PARSER.parse_args(argv))
+    args.pop("run")(**args)

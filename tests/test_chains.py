@@ -145,7 +145,7 @@ def test_homology_rejects_boundaries_that_do_not_compose():
                 if any(k == i for _, k in d1.entries))
     broken = IntegerMatrix(d2.rows, d2.cols,
                            {**d2.entries, (i, j): -d2.entries[(i, j)]})
-    bad = ChainComplex(cx.bases, [d1, broken])
+    bad = ChainComplex(cx.dims, [d1, broken])
     with pytest.raises(BoundaryCompositionError):
         bad.homology()
 

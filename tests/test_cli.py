@@ -1,6 +1,9 @@
+import contextlib
 import importlib
+import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -9,7 +12,6 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from tracehom import alphabet, verify
 from tracehom.chains import SYSTEMS, homology
@@ -24,8 +26,24 @@ ACTION_FILES = sorted(p.name for p in PROBLEMS.glob("*.json")
                       if "action" in json.loads(p.read_text()))
 
 
+class Result:
+    def __init__(self, exit_code, stdout, stderr):
+        self.exit_code = exit_code
+        self.stdout = stdout
+        self.stderr = stderr
+        self.output = stdout + stderr
+
+
 def run(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
+    """Exit code, stdout and stderr of one in-process CLI invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code or 0
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 def write(tmp_path, name, payload):
@@ -85,13 +103,30 @@ def complete_alphabet_file(tmp_path, n):
     })
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_capped(*args):
+    """One CLI invocation as ``python -m tracehom`` in a child process
+    limited to 1 GiB of address space and 60 s, so a bound that no
+    longer bounds the work fails fast instead of filling memory."""
+    done = subprocess.run([sys.executable, "-m", "tracehom",
+                           *(str(a) for a in args)],
+                          env=checkout_env(), capture_output=True,
+                          text=True, timeout=60,
+                          preexec_fn=_cap_address_space)
+    return Result(done.returncode, done.stdout, done.stderr)
+
+
 def test_homology_max_degree_bounds_the_work(tmp_path):
     """On a complete alphabet of 40 generators (2^40 cliques) a bound of
     1 lists cliques only up to size 2.  The flag complex is a simplex,
     so aug and split give H_0 = Z and H_1 = Z^40."""
     path = complete_alphabet_file(tmp_path, 40)
     start = time.perf_counter()
-    result = run("homology", path, "--max-degree", 1, "--format", "json")
+    result = run_capped("homology", path, "--max-degree", 1,
+                        "--format", "json")
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["homology"] == [
@@ -110,7 +145,8 @@ def test_verify_and_counterexample_max_degree_bound_the_work(tmp_path):
     z40 = {"rank": 40, "torsion": []}
     zero = {"rank": 0, "torsion": []}
     start = time.perf_counter()
-    result = run("verify", path, "--max-degree", 1, "--format", "json")
+    result = run_capped("verify", path, "--max-degree", 1,
+                        "--format", "json")
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0, result.output
     checks = json.loads(result.stdout)["checks"]
@@ -123,8 +159,8 @@ def test_verify_and_counterexample_max_degree_bound_the_work(tmp_path):
     assert elapsed < 2.0
 
     start = time.perf_counter()
-    result = run("counterexample", path, "--max-degree", 1,
-                 "--format", "json")
+    result = run_capped("counterexample", path, "--max-degree", 1,
+                        "--format", "json")
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0, result.output
     report = json.loads(result.stdout)
@@ -489,6 +525,11 @@ def test_main_in_process(capsys, monkeypatch):
 
     call("homology", PROBLEMS / "x0_cycle4.json")
     assert "H_2 = Z^5" in capsys.readouterr().out
+    call("verify", PROBLEMS / "x0_cycle4.json")
+    assert "[PASS] main degree 2" in capsys.readouterr().out
+    call("iso", PROBLEMS / "chain2_cycle4.json",
+         PROBLEMS / "chain2_cycle4.json")
+    assert capsys.readouterr().out.startswith("ISOMORPHIC\n")
     with pytest.raises(SystemExit) as exc:
         call("iso", PROBLEMS / "chain2_cycle4.json",
              PROBLEMS / "fan2_cycle4.json")
@@ -571,9 +612,9 @@ SUBCOMMANDS = ("homology", "schema", "verify", "iso", "counterexample")
 
 def assert_help_lists_subcommands(done):
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("Usage: tracehom")
-    _, _, commands = done.stdout.partition("\nCommands:\n")
-    listed = {line.split()[0] for line in commands.splitlines() if line}
+    assert done.stdout.startswith("usage: tracehom")
+    listed = {line.split()[0] for line in done.stdout.splitlines()
+              if line.startswith("    ")}
     assert set(SUBCOMMANDS) <= listed
 
 
@@ -613,6 +654,16 @@ def test_non_ascii_output_survives_an_ascii_stdout(tmp_path):
         capture_output=True)
     assert done.returncode == 0, done.stderr
     assert b"H\xcc\x83_0 = 0" in done.stdout
+
+
+def test_imports_only_the_standard_library():
+    """With site-packages hidden (-S) and PYTHONPATH ignored (-E), the
+    command line still imports from the checkout."""
+    code = f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); " \
+        "import tracehom.cli"
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_python_m_tracehom(tmp_path):
