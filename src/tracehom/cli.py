@@ -286,10 +286,10 @@ def _build_parser():
         if coeff:
             sub.add_argument("--coeff", choices=sorted(chains.SYSTEMS),
                              default="delta",
-                             help="Coefficient system (default: delta).")
+                             help="Coefficient system (default: %(default)s).")
         sub.add_argument("--format", dest="fmt", choices=["human", "json"],
                          default="human",
-                         help="Output format (default: human).")
+                         help="Output format (default: %(default)s).")
         if max_degree:
             sub.add_argument(
                 "--max-degree", type=int, metavar="N",
@@ -305,7 +305,7 @@ def _build_parser():
              "build the alphabet of its faces first.")
     command("verify", cmd_verify, "PROBLEM", max_degree=True).add_argument(
         "--which", choices=verify.ALL_CHECKS + ("all",), default="all",
-        help="Which identity (default: all).")
+        help="Which identity (default: %(default)s).")
     command("iso", cmd_iso, "LEFT", "RIGHT")
     command("counterexample", cmd_counterexample, "PROBLEM", max_degree=True)
     return parser
