@@ -17,7 +17,8 @@ from .chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS, ChainComplex,
 from .errors import ValidationError
 from .intlinalg import (KERNEL_NAME, AbelianGroup, BoundaryCompositionError,
                         IntegerMatrix, ShapeError, SNFResult,
-                        homology_of_pair, smith_normal_form)
+                        homology_of_complex, homology_of_pair,
+                        smith_normal_form)
 from .msets import (BASEPOINT, ConditionsReport, PointedMSet, chain_mset,
                     check_conditions, fan_mset, full_action_from_successor,
                     iso_check, x0_mset)
@@ -41,7 +42,7 @@ __all__ = [
     "check_lemma_split", "check_prop_power", "check_theorem_aug",
     "check_theorem_main", "clique_complex", "clique_counts",
     "counterexample_report", "enumerate_basis", "enumerate_cliques",
-    "fan_mset", "full_action_from_successor", "homology", "homology_of_pair",
-    "iso_check", "max_clique_size", "read_face_list", "smith_normal_form",
-    "x0_mset",
+    "fan_mset", "full_action_from_successor", "homology",
+    "homology_of_complex", "homology_of_pair", "iso_check",
+    "max_clique_size", "read_face_list", "smith_normal_form", "x0_mset",
 ]

@@ -25,7 +25,7 @@ handed over unchecked.
 """
 
 from .alphabet import enumerate_cliques, max_clique_size
-from .intlinalg import IntegerMatrix, homology_of_pair
+from .intlinalg import IntegerMatrix, homology_of_complex
 from .msets import BASEPOINT as STAR
 
 
@@ -149,12 +149,14 @@ class ChainComplex:
 
     def homology(self, top=None):
         """Homology groups in degrees 0 .. top (default: the complex's
-        top).  A degree needs the boundary out of the next one, so a
-        complex built only up to a bound is exact below it."""
+        top), from one top-down reduction of the boundaries d_0 ..
+        d_top+1 (see ``homology_of_complex``).  A degree needs the
+        boundary out of the next one, so a complex built only up to a
+        bound is exact below it."""
         if top is None:
             top = self.top
-        return [homology_of_pair(self.boundary(n), self.boundary(n + 1))
-                for n in range(top + 1)]
+        return homology_of_complex([self.boundary(n)
+                                    for n in range(top + 2)])
 
 
 def build_complex(m, system, top=None):
@@ -163,7 +165,7 @@ def build_complex(m, system, top=None):
     top defaults to the largest clique size; a lower one leaves every
     clique above it unlisted.  Degree n has dimension (points of rank 1)
     x (n-cliques); its basis is never listed.  That d o d = 0 is checked
-    where homology is taken, by ``homology_of_pair``.
+    where homology is taken, by ``homology_of_complex``.
     """
     alpha = m.alphabet
     if top is None:

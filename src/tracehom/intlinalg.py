@@ -1,13 +1,18 @@
 """Exact integer linear algebra.
 
-Sparse integer matrices, Smith normal form, and finitely generated
-abelian groups in invariant factor form.  Everything here works over
-arbitrary-precision integers; entry growth during reduction is expected
-and must not overflow.
+Sparse integer matrices, Smith normal form, finitely generated abelian
+groups in invariant factor form, and the homology of a chain complex.
+The complex is reduced once, top down (``homology_of_complex``): every
+adjacent pair of boundaries is multiplied out to check d o d = 0, then
+each boundary gets one Smith normal form, without the columns that the
+unit pivots of the boundary above it account for.  Everything here
+works over arbitrary-precision integers; entry growth during reduction
+is expected and must not overflow.
 """
 
-from dataclasses import dataclass
 from math import gcd
+
+from .records import Record
 
 #: the one SNF kernel: sparse unit-pivot elimination in pure Python,
 #: with dense reduction of what it leaves
@@ -85,6 +90,8 @@ class IntegerMatrix:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} with "
                 f"{other.rows}x{other.cols}")
+        if not (self.entries and other.entries):
+            return IntegerMatrix._unchecked(self.rows, other.cols, {})
         by_row = {}
         for (k, j), v in other.entries.items():
             by_row.setdefault(k, []).append((j, v))
@@ -106,22 +113,31 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}, {self.cols}, {self.entries!r})"
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """Invariant factors d1 | d2 | ... of an integer matrix, ones included.
 
-    The rank of the matrix is the number of factors.
+    The rank of the matrix is the number of factors.  ``smith_normal_form``
+    also records what its sparse phase did: ``pivot_rows``, the rows of
+    the matrix it was given that hold its unit pivots, in pivot order,
+    and ``leftover``, the (rows, cols) shape of the block it handed to
+    the dense kernel.  Only the factors are compared and shown.
     """
 
-    invariant_factors: tuple
+    __slots__ = ("invariant_factors", "pivot_rows", "leftover")
 
-    def __post_init__(self):
-        d = self.invariant_factors
+    def __init__(self, invariant_factors, pivot_rows=(), leftover=(0, 0)):
+        d = invariant_factors
         for k, v in enumerate(d):
             if v < 1:
                 raise ValueError(f"invariant factor {v} < 1")
             if k and d[k] % d[k - 1]:
                 raise ValueError(f"broken divisibility chain {d}")
+        self._set(invariant_factors=invariant_factors, pivot_rows=pivot_rows,
+                  leftover=leftover)
+
+    def _fields(self):
+        # the first slot alone, so the repr shows only it too
+        return (self.invariant_factors,)
 
     @property
     def rank(self):
@@ -223,8 +239,12 @@ def diagonalize(rows):
     return diag
 
 
-def smith_normal_form(m):
+def smith_normal_form(m, drop_cols=()):
     """Smith normal form of an IntegerMatrix, as an SNFResult.
+
+    The columns of ``m`` listed in ``drop_cols`` are left out: the result
+    is that of ``m`` without them, and the shape that decides the
+    orientation below is that of the kept columns.
 
     Sparse elimination first.  It sweeps the lines along the longer side
     of the matrix: the columns of a wide or square matrix, the rows of a
@@ -238,19 +258,26 @@ def smith_normal_form(m):
     the pivot's row and column then drop out with an invariant factor
     of 1.  Lines without a unit entry are left alone, and the block that
     is still nonzero at the end goes to the dense kernel, which pivots
-    on the entry of least absolute value.  ``m`` is not modified.
+    on the entry of least absolute value.  The result records the rows
+    of ``m`` that hold the unit pivots and the shape of that block.
+    ``m`` is not modified.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     SNFResult(invariant_factors=(2, 4))
+    >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]), [1])
+    SNFResult(invariant_factors=(2,))
     """
-    if m.rows == 0 or m.cols == 0 or not m.entries:
+    drop = set(drop_cols)
+    if m.rows == 0 or m.cols == len(drop) or not m.entries:
         return SNFResult(())
     # rows and cols name the lines of the matrix that is eliminated: m
     # itself, or m^T when m is tall
-    flip = m.rows > m.cols
+    flip = m.rows > m.cols - len(drop)
     rows = {}
     cols = {}
     for (i, j), v in m.entries.items():
+        if drop and j in drop:
+            continue
         if flip:
             i, j = j, i
         row = rows.get(i)
@@ -263,7 +290,7 @@ def smith_normal_form(m):
             cols[j] = {i}
         else:
             col.add(i)
-    units = 0
+    pivots = []
     for j in sorted(cols):
         col = cols[j]
         pivot = None
@@ -294,11 +321,14 @@ def smith_normal_form(m):
                     del row[k]
                     cols[k].discard(i)
         del cols[j]
-        units += 1
+        pivots.append(j if flip else pivot)
     left_cols = sorted(j for j, col in cols.items() if col)
     left = [[rows[i].get(j, 0) for j in left_cols]
             for i in sorted(rows) if rows[i]]
-    return SNFResult((1,) * units + tuple(_divisor_chain(diagonalize(left))))
+    shape = (len(left), len(left_cols))
+    return SNFResult(
+        (1,) * len(pivots) + tuple(_divisor_chain(diagonalize(left))),
+        tuple(pivots), shape[::-1] if flip else shape)
 
 
 class AbelianGroup:
@@ -368,25 +398,68 @@ class AbelianGroup:
         return f"AbelianGroup({self.free_rank}, {self.torsion!r})"
 
 
-def homology_of_pair(d_in, d_out):
-    """Homology at the middle of  . <-- d_in -- C -- d_out -- .
+def homology_of_complex(boundaries):
+    """Homology at C_0 .. C_top of the complex
 
-    d_in goes out of the middle term, d_out comes into it, and the pair
-    must compose to zero: this is where that is checked, for the chains
-    and the simplicial route alike.  The free rank is dim C minus both
-    ranks; the torsion is the nontrivial part of the invariant factors
-    of d_out.
+        <-- d_0 -- C_0 <-- d_1 -- C_1 <-- ... <-- d_top+1 --
+
+    where ``boundaries[n]`` is d_n, the map out of C_n, so it has one
+    column per basis element of C_n; the first map may end in a nonzero
+    term (an augmentation), the last one may start at one.  Every
+    adjacent pair of maps is multiplied out in full first, and a pair
+    that does not compose to zero raises BoundaryCompositionError: this
+    is where d o d = 0 is checked, for the chains and the simplicial
+    route alike.
+
+    Then each map is reduced once, by ``smith_normal_form``, from the
+    top down, and shrunk.  The unit pivots of d_n lie on rows P and
+    columns J of a +-1 minor, so the columns of d_n in J together with
+    the unit vectors off P are a lattice basis of C_n-1, and d_n-1
+    vanishes on the first part: d_n-1 with its columns in P deleted has
+    the same Smith normal form, so the kernel is told to drop them.
+    Pivots of the dense leftover span no such minor and drop nothing.
+    H_n has free rank dim C_n minus the ranks of d_n and d_n+1, and the
+    nontrivial invariant factors of d_n+1 as its torsion.
+
+    Each map is handed to the kernel whole, with the columns to drop
+    named beside it, so that what a caller sees going in (its shape and
+    entries) depends on the complex alone; which columns are dropped
+    depends on the kernel's pivot order.
+
+    >>> two = IntegerMatrix(1, 1, {(0, 0): 2})
+    >>> homology_of_complex([IntegerMatrix(0, 1), two, IntegerMatrix(1, 0)])
+    [AbelianGroup(0, (2,)), AbelianGroup(0, ())]
+    """
+    for n in range(1, len(boundaries)):
+        d_in, d_out = boundaries[n - 1], boundaries[n]
+        if d_in.cols != d_out.rows:
+            raise ShapeError(
+                f"dimension mismatch at C_{n - 1}: d_{n - 1} has "
+                f"{d_in.cols} columns, d_{n} has {d_out.rows} rows")
+        if not (d_in @ d_out).is_zero():
+            raise BoundaryCompositionError(f"d_{n - 1} o d_{n} is not zero")
+    groups = []
+    above = None
+    for d in reversed(boundaries):
+        drop = () if above is None else above.pivot_rows
+        snf = smith_normal_form(d, drop) if d.entries else SNFResult(())
+        if above is not None:
+            groups.append(AbelianGroup(
+                d.cols - snf.rank - above.rank,
+                [f for f in above.invariant_factors if f > 1]))
+        above = snf
+    groups.reverse()
+    return groups
+
+
+def homology_of_pair(d_in, d_out):
+    """Homology at the middle of  . <-- d_in -- C <-- d_out -- .
+
+    The two-map case of ``homology_of_complex``: the pair must compose
+    to zero, the free rank is dim C minus both ranks, and the torsion is
+    the nontrivial part of the invariant factors of d_out.
 
     >>> homology_of_pair(IntegerMatrix(0, 1), IntegerMatrix(1, 1, {(0, 0): 2}))
     AbelianGroup(0, (2,))
     """
-    if d_in.cols != d_out.rows:
-        raise ShapeError(
-            f"middle dimension mismatch: d_in has {d_in.cols} columns, "
-            f"d_out has {d_out.rows} rows")
-    if not (d_in @ d_out).is_zero():
-        raise BoundaryCompositionError("d_in o d_out is not zero")
-    s_in = smith_normal_form(d_in)
-    s_out = smith_normal_form(d_out)
-    free = d_in.cols - s_in.rank - s_out.rank
-    return AbelianGroup(free, [d for d in s_out.invariant_factors if d > 1])
+    return homology_of_complex([d_in, d_out])[0]

@@ -11,10 +11,10 @@ well-defined action of the whole monoid.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
 from math import factorial
 
 from .errors import ValidationError
+from .records import Record
 
 BASEPOINT = "*"
 
@@ -135,14 +135,14 @@ def fan_mset(alpha):
                                       {"x0": BASEPOINT, "x1": BASEPOINT})
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
+class ConditionsReport(Record):
     """Whether an action is full and its reduced transition graph is a
     tree rooted at the basepoint."""
 
-    full: bool
-    tree: bool
-    violations: tuple
+    __slots__ = ("full", "tree", "violations")
+
+    def __init__(self, full, tree, violations):
+        self._set(full=full, tree=tree, violations=violations)
 
     @property
     def satisfied(self):

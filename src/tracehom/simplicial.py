@@ -10,7 +10,7 @@ from itertools import chain, combinations
 
 from .alphabet import IndependenceAlphabet, enumerate_cliques
 from .errors import ValidationError
-from .intlinalg import IntegerMatrix, homology_of_pair
+from .intlinalg import IntegerMatrix, homology_of_complex
 
 
 class SimplicialComplex:
@@ -107,15 +107,16 @@ class SimplicialComplex:
         """Reduced homology groups in degrees 0 .. dim.
 
         Degree 0 is taken against the augmentation, so a connected
-        complex reports 0 there.  An empty complex has no degrees.
+        complex reports 0 there.  An empty complex has no degrees.  The
+        augmentation and the boundaries go through one top-down
+        reduction, ``homology_of_complex``, which also checks that each
+        adjacent pair composes to zero.
         """
         if not self.vertices:
             return []
-        out = []
-        for k in range(self.dim + 1):
-            d_in = self.boundary_matrix(k) if k else self.augmentation()
-            out.append(homology_of_pair(d_in, self.boundary_matrix(k + 1)))
-        return out
+        return homology_of_complex(
+            [self.augmentation()]
+            + [self.boundary_matrix(k) for k in range(1, self.dim + 2)])
 
     def __repr__(self):
         sizes = [len(level) for level in self.simplices]

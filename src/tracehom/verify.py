@@ -18,33 +18,32 @@ Checks whose preconditions fail report "not applicable" rather than
 passing silently.
 """
 
-from dataclasses import dataclass, field
-
 from .alphabet import clique_counts, max_clique_size
 from .chains import DELTA, PUNCTURED, homology
 from .intlinalg import AbelianGroup
 from .msets import (bijection_count, chain_mset, check_conditions, fan_mset,
                     iso_check, x0_mset)
+from .records import Record
 from .simplicial import clique_complex
 
 
-@dataclass(frozen=True)
-class DegreeComparison:
-    degree: int
-    lhs: AbelianGroup
-    rhs: AbelianGroup
+class DegreeComparison(Record):
+    __slots__ = ("degree", "lhs", "rhs")
+
+    def __init__(self, degree, lhs, rhs):
+        self._set(degree=degree, lhs=lhs, rhs=rhs)
 
     @property
     def ok(self):
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claim: str
-    applicable: bool
-    comparisons: tuple = ()
-    note: str = ""
+class VerificationReport(Record):
+    __slots__ = ("claim", "applicable", "comparisons", "note")
+
+    def __init__(self, claim, applicable, comparisons=(), note=""):
+        self._set(claim=claim, applicable=applicable,
+                  comparisons=comparisons, note=note)
 
     @property
     def holds(self):
@@ -142,8 +141,7 @@ def check_theorem_aug(alpha, max_degree=None):
 ALL_CHECKS = ("split", "power", "main", "aug")
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Record):
     """Two different actions over one alphabet with identical homology.
 
     The chain sends x0 -> x1 -> *, the fan sends both elements straight
@@ -151,11 +149,14 @@ class CounterexampleReport:
     isomorphic, yet every homology group agrees.
     """
 
-    isomorphic: bool
-    witness: dict | None
-    bijections_searched: int
-    tables: dict = field(default_factory=dict)
-    note: str = ""
+    __slots__ = ("isomorphic", "witness", "bijections_searched", "tables",
+                 "note")
+
+    def __init__(self, isomorphic, witness, bijections_searched, tables=None,
+                 note=""):
+        self._set(isomorphic=isomorphic, witness=witness,
+                  bijections_searched=bijections_searched,
+                  tables={} if tables is None else tables, note=note)
 
     @property
     def homology_equal(self):

@@ -24,8 +24,10 @@ def sd2_rp2():
     return barycentric_flagification(enumerate_cliques(sd1, 3))
 
 
-def bareiss_rank(rows):
-    """Rank over the rationals by fraction-free Gaussian elimination."""
+def _bareiss(rows):
+    """Fraction-free Gaussian elimination: the rank over the rationals,
+    and the last pivot, which is up to sign the determinant of a
+    nonsingular minor of that size (1 for a zero matrix)."""
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
@@ -47,7 +49,48 @@ def bareiss_rank(rows):
         row += 1
         if row == nr:
             break
+    return rank, prev
+
+
+def bareiss_rank(rows):
+    """Rank over the rationals by fraction-free Gaussian elimination."""
+    return _bareiss(rows)[0]
+
+
+def rank_mod(rows, p):
+    """Rank over the field of p elements, p prime."""
+    m = [[v % p for v in r] for r in rows]
+    nc = len(m[0]) if m else 0
+    rank = 0
+    for col in range(nc):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        top = m[rank]
+        inverse = pow(top[col], -1, p)
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                f = m[i][col] * inverse % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
+        rank += 1
     return rank
+
+
+def prime_factors(n):
+    """The primes dividing n != 0, by trial division."""
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _det(rows):
@@ -81,6 +124,154 @@ def determinantal_factors(rows):
         factors.append(g // prev)
         prev = g
     return factors
+
+
+def torsion_factors(rows):
+    """The invariant factors above 1 of a matrix, exactly.
+
+    Their product divides any nonzero maximal minor, here the last
+    Bareiss pivot, so only its primes p can occur, and t_p = rank -
+    (rank mod p) of the factors are divisible by p.  When t_p equals the
+    power of p in the minor, each of them holds p exactly once.  Only a
+    matrix where some prime could occur squared reaches the exponential
+    ``determinantal_factors``."""
+    rank, minor = _bareiss(rows)
+    factors = [1] * rank
+    for p in prime_factors(minor):
+        t = rank - rank_mod(rows, p)
+        if t and minor % p ** (t + 1) == 0:
+            return [d for d in determinantal_factors(rows) if d > 1]
+        for i in range(rank - t, rank):
+            factors[i] *= p
+    return [d for d in factors if d > 1]
+
+
+def dense(m):
+    """The rows of an IntegerMatrix, read from its entries."""
+    return [[m.entries.get((i, j), 0) for j in range(m.cols)]
+            for i in range(m.rows)]
+
+
+def dense_product(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row) if x)
+             for j in range(len(b[0]) if b else 0)] for row in a]
+
+
+def pair_route_homology(boundaries):
+    """Oracle for ``homology_of_complex``: each degree on its own, from
+    dense copies of the full maps out of and into it.  The free rank is
+    dim C_n minus the Bareiss ranks of d_n and d_n+1, the torsion is
+    ``torsion_factors`` of d_n+1.  Groups come back as (free rank,
+    torsion) pairs, already in invariant factor form."""
+    rows = [dense(d) for d in boundaries]
+    return [(boundaries[n].cols - bareiss_rank(rows[n])
+             - bareiss_rank(rows[n + 1]), tuple(torsion_factors(rows[n + 1])))
+            for n in range(len(boundaries) - 1)]
+
+
+def as_pairs(groups):
+    return [(g.free_rank, g.torsion) for g in groups]
+
+
+def composes_to_zero(boundaries):
+    """Whether every adjacent pair of maps composes to zero, by dense
+    products."""
+    rows = [dense(d) for d in boundaries]
+    return all(not any(any(row) for row in dense_product(rows[n - 1], rows[n]))
+               for n in range(1, len(rows)))
+
+
+def change_one_entry(draw, boundaries):
+    """The maps with one entry of one nonempty map changed by a nonzero
+    amount; None when every map is empty."""
+    nonempty = [n for n, d in enumerate(boundaries) if d.rows and d.cols]
+    if not nonempty:
+        return None
+    n = draw(st.sampled_from(nonempty))
+    d = boundaries[n]
+    key = (draw(st.integers(0, d.rows - 1)), draw(st.integers(0, d.cols - 1)))
+    entries = dict(d.entries)
+    entries[key] = entries.get(key, 0) + draw(st.sampled_from((1, -1, 2)))
+    changed = IntegerMatrix(d.rows, d.cols, entries)
+    return boundaries[:n] + [changed] + boundaries[n + 1:]
+
+
+def _unimodular(draw, n):
+    """A random n x n unimodular matrix and its inverse, as products of
+    row shears, swaps and sign changes."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [row[:] for row in u]
+    if n == 0:
+        return u, inverse
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(index), draw(index)
+        kind = draw(st.sampled_from(("shear", "shear", "swap", "sign")))
+        if kind == "shear" and i != j:
+            # U <- E U with E adding c times row j to row i;
+            # U^-1 <- U^-1 E^-1, which subtracts c times column i from j
+            c = draw(st.sampled_from((-2, -1, 1, 2)))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            for row in inverse:
+                row[j] -= c * row[i]
+        elif kind == "swap":
+            u[i], u[j] = u[j], u[i]
+            for row in inverse:
+                row[i], row[j] = row[j], row[i]
+        elif kind == "sign":
+            u[i] = [-x for x in u[i]]
+            for row in inverse:
+                row[i] = -row[i]
+    return u, inverse
+
+
+def _canonical_torsion(values):
+    """Invariant factors of the sum of Z/v over values in {2, 3, 6}:
+    every 6 is Z/2 + Z/3, and a 2 and a 3 pair up into a 6."""
+    twos = sum(v in (2, 6) for v in values)
+    threes = sum(v in (3, 6) for v in values)
+    sixes = min(twos, threes)
+    rest = 2 if twos > threes else 3
+    return (rest,) * abs(twos - threes) + (6,) * sixes
+
+
+@st.composite
+def diagonal_complexes(draw, max_maps=4):
+    """Hypothesis strategy: maps d_0 .. d_L-1 with d_m from term m+1 to
+    term m, and the homology at terms 1 .. L-1 read off in closed form.
+
+    Map m is U_m D_m U_m+1^-1 with U unimodular and D_m a partial
+    diagonal: k_m entries in {0, 1, 2, 3, 6} that send the m-th block of
+    "sources" of term m+1 to the block of "targets" of term m.  Each
+    term is [targets of the map into it | sources of the map out of it |
+    f free coordinates], so D_m D_m+1 = 0 and then d_m d_m+1 = 0.  The
+    homology at term t has free rank dim - rank D_t-1 - rank D_t and the
+    entries of D_t above 1 as torsion."""
+    maps = draw(st.integers(1, max_maps))
+    values = [draw(st.lists(st.sampled_from((0, 1, 2, 3, 6)), max_size=3))
+              for _ in range(maps)]
+    k = [len(v) for v in values] + [0]
+    free = [draw(st.integers(0, 2)) for _ in range(maps + 1)]
+    # term t: k[t] targets of map t, then k[t - 1] sources of map t - 1
+    dims = [k[t] + (k[t - 1] if t else 0) + free[t] for t in range(maps + 1)]
+    units = [_unimodular(draw, n) for n in dims]
+    boundaries = []
+    for m in range(maps):
+        diag = [[0] * dims[m + 1] for _ in range(dims[m])]
+        for a, v in enumerate(values[m]):
+            diag[a][k[m + 1] + a] = v
+        rows = dense_product(dense_product(units[m][0], diag),
+                             units[m + 1][1])
+        boundaries.append(IntegerMatrix(dims[m], dims[m + 1], {
+            (i, j): v for i, row in enumerate(rows)
+            for j, v in enumerate(row) if v}))
+    groups = []
+    for t in range(1, maps):
+        rank_out = sum(v != 0 for v in values[t - 1])
+        rank_in = sum(v != 0 for v in values[t])
+        groups.append((dims[t] - rank_out - rank_in,
+                       _canonical_torsion([v for v in values[t] if v > 1])))
+    return boundaries, groups
 
 
 def brute_force_cliques(alpha, k):

@@ -1,23 +1,29 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import actions, alphabets, random_alphabet, random_mset, \
-    reference_boundary, relabel_elements, rename_generators, \
-    shuffle_generators
+from helpers import (RP2_TRIANGLES, actions, alphabets, as_pairs,
+                     change_one_entry, composes_to_zero, pair_route_homology,
+                     random_alphabet, random_mset, reference_boundary,
+                     relabel_elements, rename_generators, shuffle_generators)
 
+from tracehom import intlinalg
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
                                max_clique_size)
 from tracehom.chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS,
                              ChainComplex, boundary_matrix, build_complex,
                              enumerate_basis, homology)
 from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
-                                IntegerMatrix)
+                                IntegerMatrix, smith_normal_form)
 from tracehom.msets import (BASEPOINT, PointedMSet, chain_mset, fan_mset,
                             x0_mset)
-from tracehom.simplicial import clique_complex
+from tracehom.simplicial import barycentric_flagification, clique_complex
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 SINGLE = IndependenceAlphabet(["e"])
 PAIR = IndependenceAlphabet(["a", "b"], [("a", "b")])
@@ -148,6 +154,83 @@ def test_homology_rejects_boundaries_that_do_not_compose():
     bad = ChainComplex(cx.dims, [d1, broken])
     with pytest.raises(BoundaryCompositionError):
         bad.homology()
+
+
+def record_snf_calls(monkeypatch):
+    """Wrap the kernel where the reduction calls it; the list collects
+    (matrix, columns to drop, result) per call."""
+    calls = []
+
+    def recording(m, drop_cols=()):
+        result = smith_normal_form(m, drop_cols)
+        calls.append((m, drop_cols, result))
+        return result
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    return calls
+
+
+def test_each_boundary_reduced_once_and_shrunk(monkeypatch):
+    """One SNF per nonzero boundary, top down; each is handed over whole,
+    with the unit pivot rows of the boundary above it to drop."""
+    doc = json.loads((PROBLEMS / "rp2_x0.json").read_text())
+    m = PointedMSet(IndependenceAlphabet(doc["generators"],
+                                         doc["independence"]),
+                    doc["elements"], doc["action"])
+    cx = build_complex(m, DELTA)
+    calls = record_snf_calls(monkeypatch)
+    groups = homology(m, DELTA)
+    assert [str(g) for g in groups] == ["Z", "Z^31", "Z^90 + Z/2", "Z^60"]
+    nonzero = [n for n in range(1, cx.top + 1) if not cx.boundary(n).is_zero()]
+    assert len(calls) == len(nonzero) == 3
+    assert [d for d, _, _ in calls] == [cx.boundary(n) for n in (3, 2, 1)]
+    assert calls[0][1] == ()
+    for (_, _, above), (below, drop, result) in zip(calls, calls[1:]):
+        assert drop == above.pivot_rows
+        kept = IntegerMatrix(below.rows, below.cols - len(drop), {
+            (i, j - sum(k < j for k in drop)): v
+            for (i, j), v in below.entries.items() if j not in drop})
+        assert smith_normal_form(kept) == result
+        if above.leftover == (0, 0):
+            assert kept.cols == below.cols - above.rank
+    # the torsion of d_3 is left to the dense kernel, whose pivots drop
+    # nothing from d_2
+    snf3 = calls[0][2]
+    assert snf3.leftover != (0, 0)
+    assert len(calls[1][1]) == snf3.rank - 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_reduction_matches_pair_route_oracle(data):
+    """The top-down reduction against each degree on its own: Bareiss
+    ranks and determinantal factors of the full boundaries, up to a
+    drawn degree.  A changed entry that breaks d o d = 0 below it is
+    caught."""
+    alpha = data.draw(alphabets(max_size=5))
+    m = data.draw(actions(alpha, max_elements=3))
+    for system in SYSTEMS.values():
+        cx = build_complex(m, system)
+        top = data.draw(st.integers(-1, cx.top))
+        maps = [cx.boundary(n) for n in range(cx.top + 2)]
+        assert as_pairs(cx.homology(top)) == pair_route_homology(
+            maps[:top + 2])
+        changed = change_one_entry(data.draw, maps)
+        if changed is not None and not composes_to_zero(changed[:top + 2]):
+            with pytest.raises(BoundaryCompositionError):
+                ChainComplex(cx.dims, changed[1:-1]).homology(top)
+
+
+def test_reduction_matches_pair_route_oracle_with_dense_leftover():
+    """Over the flagified projective plane d_3 leaves its torsion to the
+    dense kernel, whose pivots must not shrink d_2: under the fan, d_2
+    loses rank if they do."""
+    alpha = barycentric_flagification(RP2_TRIANGLES)
+    cases = [(x0_mset(alpha), system) for system in SYSTEMS.values()]
+    for m, system in cases + [(fan_mset(alpha), PUNCTURED)]:
+        cx = build_complex(m, system)
+        maps = [cx.boundary(n) for n in range(cx.top + 2)]
+        assert as_pairs(cx.homology()) == pair_route_homology(maps)
 
 
 # --- homology ------------------------------------------------------------

@@ -4,14 +4,16 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import (bareiss_rank, determinantal_factors, random_matrix,
-                     sd2_rp2)
+from helpers import (as_pairs, bareiss_rank, change_one_entry,
+                     composes_to_zero, determinantal_factors,
+                     diagonal_complexes, random_matrix, sd2_rp2)
 
 from tracehom import intlinalg
 from tracehom.chains import DELTA, boundary_matrix
 from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
                                 IntegerMatrix, ShapeError, SNFResult,
-                                homology_of_pair, smith_normal_form)
+                                homology_of_complex, homology_of_pair,
+                                smith_normal_form)
 from tracehom.msets import BASEPOINT, full_action_from_successor
 
 
@@ -169,6 +171,32 @@ def test_snf_result_validates_chain():
         SNFResult((0,))
 
 
+def test_snf_result_compares_and_shows_only_the_factors():
+    recorded = SNFResult((1, 2), pivot_rows=(3,), leftover=(2, 1))
+    assert recorded == SNFResult((1, 2))
+    assert hash(recorded) == hash(SNFResult((1, 2)))
+    assert recorded != SNFResult((1, 4), (3,), (2, 1))
+    assert repr(recorded) == "SNFResult(invariant_factors=(1, 2))"
+    assert (recorded.pivot_rows, recorded.leftover) == ((3,), (2, 1))
+    with pytest.raises(AttributeError):
+        recorded.invariant_factors = (1,)
+    with pytest.raises(AttributeError):
+        del recorded.leftover
+
+
+def test_snf_records_unit_pivots_and_leftover():
+    # a unit pivot in row 1; the 1x2 block [2, 4] left in row 0 goes to
+    # the dense kernel
+    result = snf_of([[2, 4, 0], [0, 3, 1]])
+    assert result.invariant_factors == (1, 2)
+    assert (result.pivot_rows, result.leftover) == ((1,), (1, 2))
+    # tall: eliminated as its transpose, recorded in its own rows
+    result = snf_of([[2, 0], [4, 3], [0, 1]])
+    assert (result.pivot_rows, result.leftover) == ((2,), (2, 1))
+    assert snf_of([[2, 4], [6, 8]]).pivot_rows == ()
+    assert snf_of([[0, 0]]).leftover == (0, 0)
+
+
 # --- sparse elimination against the dense kernel and the oracles ---------
 
 def dense_snf(m):
@@ -242,6 +270,22 @@ def test_snf_unit_pivots_on_huge_entries():
             determinantal_factors(rows), rows
 
 
+def test_snf_drops_the_columns_it_is_told_to():
+    # the same elimination as on the matrix with those columns deleted,
+    # orientation included
+    rng = random.Random(99)
+    for _ in range(200):
+        m = random_matrix(rng, max_dim=7)
+        drop = tuple(j for j in range(m.cols) if rng.random() < 0.4)
+        kept = [j for j in range(m.cols) if j not in drop]
+        deleted = IntegerMatrix(m.rows, len(kept), {
+            (i, kept.index(j)): v for (i, j), v in m.entries.items()
+            if j in kept})
+        got, want = smith_normal_form(m, drop), smith_normal_form(deleted)
+        assert (got, got.pivot_rows, got.leftover) == \
+            (want, want.pivot_rows, want.leftover)
+
+
 def test_snf_leaves_its_argument_alone():
     m = IntegerMatrix.from_rows([[1, 2, 0], [3, 1, 4], [0, 5, -1]])
     before = dict(m.entries)
@@ -278,6 +322,15 @@ def test_snf_property_against_oracles(rows):
     assert list(result.invariant_factors) == determinantal_factors(rows)
     assert result.rank == bareiss_rank(rows)
     assert smith_normal_form(transpose(m)) == result
+    # the unit pivot rows carry a +-1 minor: the lattice their rows span
+    # has a basis of unit vectors, so every factor of those rows is 1;
+    # the rest of the rank is left to the dense kernel
+    pivots = result.pivot_rows
+    assert len(set(pivots)) == len(pivots) <= result.rank
+    assert determinantal_factors([rows[i] for i in pivots]) == \
+        [1] * len(pivots)
+    assert result.rank - len(pivots) <= min(result.leftover)
+    assert result.leftover[0] <= m.rows and result.leftover[1] <= m.cols
 
 
 def test_snf_of_sd2_rp2_boundaries_both_ways():
@@ -291,11 +344,19 @@ def test_snf_of_sd2_rp2_boundaries_both_ways():
         sd2_rp2(), {f"x{k}": BASEPOINT for k in range(4)})
     expect = {2: ((905, 2700), (1,) * 720),
               3: ((2700, 1800), (1,) * 1436 + (2,) * 4)}
+    # every factor of d_2 comes from a unit pivot; the torsion of d_3
+    # comes from a 150x4 block left to the dense kernel, which is the
+    # same block whichever way round the matrix is handed over
+    leftover = {2: (0, 0), 3: (150, 4)}
     for n, (shape, factors) in expect.items():
         d = boundary_matrix(fan, DELTA, n)
         assert (d.rows, d.cols) == shape
-        assert smith_normal_form(d).invariant_factors == factors
-        assert smith_normal_form(transpose(d)).invariant_factors == factors
+        for m, rows_cols in ((d, leftover[n]),
+                             (transpose(d), leftover[n][::-1])):
+            result = smith_normal_form(m)
+            assert result.invariant_factors == factors
+            assert result.leftover == rows_cols
+            assert len(result.pivot_rows) == factors.count(1)
 
 
 # --- AbelianGroup --------------------------------------------------------
@@ -359,7 +420,35 @@ def test_direct_sum():
     assert total == AbelianGroup(3, (2, 2))
 
 
-# --- homology_of_pair ----------------------------------------------------
+# --- homology_of_complex and homology_of_pair ----------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(diagonal_complexes())
+def test_complex_homology_read_off_the_diagonals(case):
+    """Torsion from entries 2, 3 and 6 hidden by unimodular changes of
+    basis has to come out of the dense leftover, and only the unit
+    pivots above may shrink the map below."""
+    boundaries, groups = case
+    assert as_pairs(homology_of_complex(boundaries)) == groups
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(diagonal_complexes(), st.data())
+def test_complex_with_a_changed_entry_is_checked_at_every_pair(case, data):
+    changed = change_one_entry(data.draw, case[0])
+    if changed is None:
+        return
+    if composes_to_zero(changed):
+        homology_of_complex(changed)
+    else:
+        with pytest.raises(BoundaryCompositionError):
+            homology_of_complex(changed)
+
+
+def test_complex_of_no_maps_or_one_has_no_groups():
+    assert homology_of_complex([]) == []
+    assert homology_of_complex([IntegerMatrix(2, 3, {(0, 0): 5})]) == []
+
 
 def test_homology_zero_boundaries():
     h = homology_of_pair(IntegerMatrix(0, 3), IntegerMatrix(3, 0))

@@ -5,12 +5,15 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from helpers import RP2_TRIANGLES, alphabets, random_alphabet
+from hypothesis import strategies as st
+from helpers import (RP2_TRIANGLES, alphabets, as_pairs, change_one_entry,
+                     composes_to_zero, pair_route_homology, random_alphabet)
 
-from tracehom import ValidationError
+from tracehom import ValidationError, intlinalg
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
                                max_clique_size)
-from tracehom.intlinalg import AbelianGroup
+from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
+                                IntegerMatrix, smith_normal_form)
 from tracehom.simplicial import (SimplicialComplex, barycentric_flagification,
                                  clique_complex, read_face_list)
 
@@ -152,6 +155,67 @@ def test_reduced_euler_characteristic_matches_homology(alpha):
     ranks = sum((-1) ** n * g.free_rank
                 for n, g in enumerate(cx.reduced_homology()))
     assert ranks == cx.euler_characteristic() - 1
+
+
+def maps_of(cx):
+    """The augmentation and the boundaries that reduced homology takes."""
+    return [cx.augmentation()] + [cx.boundary_matrix(k)
+                                  for k in range(1, cx.dim + 2)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(alphabets(max_size=7, min_size=1), st.data())
+def test_reduction_matches_pair_route_oracle(alpha, data):
+    """The top-down reduction against each degree on its own: Bareiss
+    ranks and determinantal factors of the augmentation and the full
+    boundaries; a changed entry that breaks d o d = 0 is caught."""
+    cx = clique_complex(alpha)
+    maps = maps_of(cx)
+    assert as_pairs(cx.reduced_homology()) == pair_route_homology(maps)
+    changed = change_one_entry(data.draw, maps)
+    if not composes_to_zero(changed):
+        with pytest.raises(BoundaryCompositionError):
+            intlinalg.homology_of_complex(changed)
+
+
+def test_each_boundary_reduced_once_and_shrunk(monkeypatch):
+    """One SNF per nonzero map, top down, the augmentation included;
+    each is handed over whole, with the unit pivot rows of the map above
+    it to drop."""
+    cx = clique_complex(barycentric_flagification(RP2_TRIANGLES))
+    assert as_pairs(cx.reduced_homology()) == pair_route_homology(maps_of(cx))
+    calls = []
+
+    def recording(m, drop_cols=()):
+        result = smith_normal_form(m, drop_cols)
+        calls.append((m, drop_cols, result))
+        return result
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    assert cx.reduced_homology() == [ZERO, Z2, ZERO]
+    # d_2 leaves the torsion to the dense kernel
+    assert calls[0][2].leftover != (0, 0)
+    assert [d for d, _, _ in calls] == maps_of(cx)[-2::-1]
+    assert calls[0][1] == ()
+    for (_, _, above), (_, drop, _) in zip(calls, calls[1:]):
+        assert drop == above.pivot_rows
+
+
+def test_reduced_homology_rejects_boundaries_that_do_not_compose(
+        monkeypatch):
+    """d o d = 0 is checked where homology is taken, on this route too:
+    one flipped sign in d_2 of a solid triangle raises."""
+    cx = clique_complex(IndependenceAlphabet("abc", [("a", "b"), ("b", "c"),
+                                                     ("a", "c")]))
+    d2 = cx.boundary_matrix(2)
+    key = next(iter(d2.entries))
+    broken = IntegerMatrix(d2.rows, d2.cols,
+                           {**d2.entries, key: -d2.entries[key]})
+    real = type(cx).boundary_matrix
+    monkeypatch.setattr(type(cx), "boundary_matrix",
+                        lambda self, k: broken if k == 2 else real(self, k))
+    with pytest.raises(BoundaryCompositionError):
+        cx.reduced_homology()
 
 
 # --- face lists ----------------------------------------------------------

@@ -1,15 +1,17 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from helpers import alphabets, random_alphabet, random_mset
 
 from tracehom.alphabet import IndependenceAlphabet
 from tracehom.intlinalg import AbelianGroup
-from tracehom.msets import (BASEPOINT, PointedMSet,
+from tracehom.msets import (BASEPOINT, ConditionsReport, PointedMSet,
                             full_action_from_successor, x0_mset)
-from tracehom.verify import (ALL_CHECKS, DegreeComparison,
-                             VerificationReport, check_lemma_split,
+from tracehom.verify import (ALL_CHECKS, CounterexampleReport,
+                             DegreeComparison, VerificationReport,
+                             check_lemma_split,
                              check_prop_power, check_theorem_aug,
                              check_theorem_main, counterexample_report)
 
@@ -65,6 +67,28 @@ def test_report_status_and_witness():
     na = VerificationReport("power", False, note="why not")
     assert na.status == "N-A"
     assert not na.holds
+
+
+def test_reports_are_immutable_records():
+    report = VerificationReport(claim="aug", applicable=True)
+    assert report == VerificationReport("aug", True, (), "")
+    assert report != VerificationReport("aug", True, note="n")
+    assert repr(report) == ("VerificationReport(claim='aug', "
+                            "applicable=True, comparisons=(), note='')")
+    assert repr(DegreeComparison(1, Z, ZERO)) == (
+        "DegreeComparison(degree=1, lhs=AbelianGroup(1, ()), "
+        "rhs=AbelianGroup(0, ()))")
+    assert hash(DegreeComparison(1, Z, Z)) == hash(DegreeComparison(1, Z, Z))
+    assert DegreeComparison(1, Z, Z) != (1, Z, Z)
+    assert repr(ConditionsReport(True, False, ("v",))) == \
+        "ConditionsReport(full=True, tree=False, violations=('v',))"
+    first, second = (CounterexampleReport(False, None, 2) for _ in range(2))
+    assert first == second and first.tables == {}
+    assert first.tables is not second.tables
+    for record, field in ((report, "note"), (first, "tables"),
+                          (ConditionsReport(True, True, ()), "full")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_all_checks_registry():
