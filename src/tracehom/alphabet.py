@@ -13,7 +13,8 @@ from .errors import ValidationError
 class IndependenceAlphabet:
     """Generators in declaration order plus unordered independence pairs."""
 
-    __slots__ = ("generators", "pairs", "_index", "_adjacent", "_cliques")
+    __slots__ = ("generators", "pairs", "_index", "_adjacent", "_cliques",
+                 "_x0", "_reduced")
 
     def __init__(self, generators, independence=()):
         problems = []
@@ -64,6 +65,11 @@ class IndependenceAlphabet:
         # Higher levels are added on demand by enumerate_cliques.
         self._cliques = [([()], [(1 << len(gens)) - 1]),
                          ([(g,) for g in gens], later)]
+        # kept like the clique table, filled on first use: the two-point
+        # reference action (msets.x0_mset) and the clique complex's
+        # reduced homology per degree bound (verify)
+        self._x0 = None
+        self._reduced = {}
 
     def index(self, g):
         try:

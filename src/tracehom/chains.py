@@ -181,6 +181,15 @@ def homology(m, system, max_degree=None):
     """Homology of the action in degrees 0 .. max_degree (default: the
     largest clique size).  Only degrees up to max_degree + 1 are built;
     degrees above the largest clique size come out as zero groups, and a
-    negative bound gives none."""
-    top = None if max_degree is None else max_degree + 1
-    return build_complex(m, system, top).homology(max_degree)
+    negative bound gives none.
+
+    The groups are computed once per (system, max_degree) and kept on
+    the action, so the identities of ``verify`` that share a term build
+    and reduce its complex once; each call returns a fresh list."""
+    key = (system, max_degree)
+    groups = m._homology.get(key)
+    if groups is None:
+        top = None if max_degree is None else max_degree + 1
+        groups = build_complex(m, system, top).homology(max_degree)
+        m._homology[key] = groups
+    return list(groups)

@@ -3,9 +3,9 @@
 Sparse integer matrices, Smith normal form, finitely generated abelian
 groups in invariant factor form, and the homology of a chain complex.
 The complex is reduced once, top down (``homology_of_complex``): every
-adjacent pair of boundaries is multiplied out to check d o d = 0, then
-each boundary gets one Smith normal form, without the columns that the
-unit pivots of the boundary above it account for.  Everything here
+adjacent pair of boundaries is checked to compose to zero, then each
+boundary gets one Smith normal form, without the columns that the unit
+pivots of the boundary above it account for.  Everything here
 works over arbitrary-precision integers; entry growth during reduction
 is expected and must not overflow.
 """
@@ -398,6 +398,38 @@ class AbelianGroup:
         return f"AbelianGroup({self.free_rank}, {self.torsion!r})"
 
 
+def _composes_to_zero(d_in, d_out):
+    """Whether d_in @ d_out is the zero matrix, found without building
+    the product.
+
+    Column k of d_in is packed into one integer, entry i in a w-bit
+    field: packed[k] = sum of d_in[i, k] * 2^(w*i).  Column j of the
+    product is then sum over k of d_out[k, j] * packed[k], which equals
+    sum of P[i, j] * 2^(w*i) exactly, as Python integers do not wrap.
+    Every |P[i, j]| is at most max |d_in| times the 1-norm of column j of
+    d_out; w is sized so that this bound is below 2^w, and then the sum
+    is zero only if every P[i, j] is (the lowest nonzero one would have
+    to be a multiple of 2^w), so no carry between fields can fake a
+    zero.
+    """
+    if not (d_in.entries and d_out.entries):
+        return True
+    norms = {}
+    for (_, j), v in d_out.entries.items():
+        norms[j] = norms.get(j, 0) + abs(v)
+    bound = max(map(abs, d_in.entries.values())) * max(norms.values())
+    w = bound.bit_length()
+    packed = {}
+    for (i, k), v in d_in.entries.items():
+        packed[k] = packed.get(k, 0) + (v << w * i)
+    sums = {}
+    for (k, j), v in d_out.entries.items():
+        p = packed.get(k)
+        if p:
+            sums[j] = sums.get(j, 0) + v * p
+    return not any(sums.values())
+
+
 def homology_of_complex(boundaries):
     """Homology at C_0 .. C_top of the complex
 
@@ -406,10 +438,10 @@ def homology_of_complex(boundaries):
     where ``boundaries[n]`` is d_n, the map out of C_n, so it has one
     column per basis element of C_n; the first map may end in a nonzero
     term (an augmentation), the last one may start at one.  Every
-    adjacent pair of maps is multiplied out in full first, and a pair
-    that does not compose to zero raises BoundaryCompositionError: this
-    is where d o d = 0 is checked, for the chains and the simplicial
-    route alike.
+    adjacent pair of maps is checked first, exactly but without building
+    the product (``_composes_to_zero``), and a pair that does not compose
+    to zero raises BoundaryCompositionError: this is where d o d = 0 is
+    checked, for the chains and the simplicial route alike.
 
     Then each map is reduced once, by ``smith_normal_form``, from the
     top down, and shrunk.  The unit pivots of d_n lie on rows P and
@@ -436,7 +468,7 @@ def homology_of_complex(boundaries):
             raise ShapeError(
                 f"dimension mismatch at C_{n - 1}: d_{n - 1} has "
                 f"{d_in.cols} columns, d_{n} has {d_out.rows} rows")
-        if not (d_in @ d_out).is_zero():
+        if not _composes_to_zero(d_in, d_out):
             raise BoundaryCompositionError(f"d_{n - 1} o d_{n} is not zero")
     groups = []
     above = None

@@ -25,10 +25,12 @@ class PointedMSet:
     ``action`` maps element name -> {generator -> target}; a row for the
     basepoint may be omitted and is filled in with fixity.  Construction
     raises ValidationError listing every missing cell, moved basepoint,
-    and violated commutation square.
+    and violated commutation square.  The homology groups of the action
+    are kept on it per (coefficient system, degree bound), filled by
+    ``chains.homology``.
     """
 
-    __slots__ = ("alphabet", "elements", "_table")
+    __slots__ = ("alphabet", "elements", "_table", "_homology")
 
     def __init__(self, alphabet, elements, action):
         problems = []
@@ -90,6 +92,7 @@ class PointedMSet:
         self.alphabet = alphabet
         self.elements = elems
         self._table = table
+        self._homology = {}
 
     @property
     def carrier(self):
@@ -120,8 +123,12 @@ def full_action_from_successor(alpha, successor):
 
 def x0_mset(alpha):
     """The two-point reference: one element sent to the basepoint by
-    every generator."""
-    return full_action_from_successor(alpha, {"x0": BASEPOINT})
+    every generator.  It is built once per alphabet and kept on it, so
+    the same alphabet always gives the same object, and with it the
+    homology kept on that object."""
+    if alpha._x0 is None:
+        alpha._x0 = full_action_from_successor(alpha, {"x0": BASEPOINT})
+    return alpha._x0
 
 
 def chain_mset(alpha):

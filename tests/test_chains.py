@@ -333,6 +333,35 @@ def test_homology_bounded_by_max_degree():
                 assert homology(m, system, bound) == padded[:bound + 1]
 
 
+def test_kept_homology_is_handed_out_as_a_fresh_list():
+    m = x0_mset(CYCLE4)
+    first = homology(m, DELTA)
+    expected = list(first)
+    first.clear()
+    again = homology(m, DELTA)
+    assert again == expected
+    again[0] = ZERO
+    assert homology(m, DELTA) == expected
+    assert x0_mset(CYCLE4) is m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kept_homology_matches_a_fresh_computation(data):
+    """Requests for (system, bound) in any order, with repeats and with
+    bounded ones before the unbounded one, each give what a complex
+    built for that request alone gives."""
+    alpha = data.draw(alphabets(max_size=5))
+    m = data.draw(actions(alpha, max_elements=3))
+    keys = [(system, bound) for system in SYSTEMS.values()
+            for bound in (None, -2, -1, 0, 1, 2, 4)]
+    for system, bound in data.draw(st.lists(st.sampled_from(keys),
+                                            min_size=1, max_size=12)):
+        top = None if bound is None else bound + 1
+        assert homology(m, system, bound) == \
+            build_complex(m, system, top).homology(bound)
+
+
 def test_bounded_complex_lists_no_higher_clique():
     gens = [f"e{k}" for k in range(6)]
     m = x0_mset(IndependenceAlphabet(gens, combinations(gens, 2)))

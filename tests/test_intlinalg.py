@@ -445,6 +445,28 @@ def test_complex_with_a_changed_entry_is_checked_at_every_pair(case, data):
             homology_of_complex(changed)
 
 
+def test_composition_check_is_not_fooled_by_carries():
+    """Nonzero products that a packed test with too narrow fields would
+    read as zero.  In 8-bit fields 256 in row 0 cancels -1 in row 1, and
+    2^64 = 2^(8*8) in row 0 cancels -1 in row 8.  Sizing the fields by
+    the largest entries alone (1 bit here) would let the entry 2, a sum
+    of two unit terms, cancel the -1 below it."""
+    one = IntegerMatrix.from_rows([[1]])
+    cases = [
+        (IntegerMatrix.from_rows([[256], [-1]]), one),
+        (IntegerMatrix(9, 1, {(0, 0): 2 ** 64, (8, 0): -1}), one),
+        (IntegerMatrix.from_rows([[1, 1], [-1, 0]]),
+         IntegerMatrix.from_rows([[1], [1]])),
+        # a single nonzero entry 2^64 = 2^63 + 2^63
+        (IntegerMatrix.from_rows([[2 ** 63, 2 ** 63]]),
+         IntegerMatrix.from_rows([[1], [1]])),
+    ]
+    for d_in, d_out in cases:
+        assert not (d_in @ d_out).is_zero()
+        with pytest.raises(BoundaryCompositionError):
+            homology_of_pair(d_in, d_out)
+
+
 def test_complex_of_no_maps_or_one_has_no_groups():
     assert homology_of_complex([]) == []
     assert homology_of_complex([IntegerMatrix(2, 3, {(0, 0): 5})]) == []

@@ -1,19 +1,25 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from helpers import alphabets, random_alphabet, random_mset
 
+from tracehom import chains, cli, simplicial
 from tracehom.alphabet import IndependenceAlphabet
+from tracehom.chains import ChainComplex
 from tracehom.intlinalg import AbelianGroup
 from tracehom.msets import (BASEPOINT, ConditionsReport, PointedMSet,
                             full_action_from_successor, x0_mset)
+from tracehom.simplicial import SimplicialComplex
 from tracehom.verify import (ALL_CHECKS, CounterexampleReport,
                              DegreeComparison, VerificationReport,
                              check_lemma_split,
                              check_prop_power, check_theorem_aug,
                              check_theorem_main, counterexample_report)
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 SINGLE = IndependenceAlphabet(["e"])
 CYCLE4 = IndependenceAlphabet(
@@ -289,6 +295,62 @@ def test_bound_cuts_or_pads_every_report():
                     list(range(first, bound + 1))
                 assert got[:len(full)] == full[:len(got)]
                 assert all(c.lhs == c.rhs == ZERO for c in got[len(full):])
+
+
+# --- shared terms ---------------------------------------------------------
+
+def test_verify_all_reduces_each_distinct_complex_once(monkeypatch, capsys):
+    """split, power, main and aug on the two-point action over sd(RP2)
+    need DELTA and PUNCTURED of the action, PUNCTURED of the two-point
+    reference (a second object, built from the alphabet) and the
+    schema's reduced homology: four complexes, each reduced once."""
+    shapes = []
+
+    def wrap(original):
+        def recording(boundaries):
+            shapes.append([(d.rows, d.cols) for d in boundaries])
+            return original(boundaries)
+        return recording
+
+    for module in (chains, simplicial):
+        monkeypatch.setattr(module, "homology_of_complex",
+                            wrap(module.homology_of_complex))
+    cli.main(["verify", str(PROBLEMS / "rp2_x0.json")])
+    assert "FAIL" not in capsys.readouterr().out
+    p = [1, 31, 90, 60]  # the clique counts of sd(RP2)
+
+    def chain_shapes(points):
+        dims = [points * c for c in p]
+        return [(0, dims[0])] + list(zip(dims, dims[1:])) + [(dims[-1], 0)]
+
+    schema = [(1, p[1])] + list(zip(p[1:], p[2:])) + [(p[-1], 0)]
+    assert shapes == [chain_shapes(2), chain_shapes(1), chain_shapes(1),
+                      schema]
+
+
+@pytest.mark.parametrize("claim", ["main", "aug"])
+def test_main_and_aug_still_take_both_routes(monkeypatch, claim):
+    """Keeping terms leaves a side from each route in both checks."""
+    calls = []
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def recording(self, *args):
+            calls.append(name)
+            return original(self, *args)
+        monkeypatch.setattr(cls, name, recording)
+
+    count(ChainComplex, "homology")
+    count(SimplicialComplex, "reduced_homology")
+    alpha = IndependenceAlphabet(
+        "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    if claim == "main":
+        report = check_theorem_main(fan_of_three(alpha))
+    else:
+        report = check_theorem_aug(alpha)
+    assert report.holds
+    assert sorted(calls) == ["homology", "reduced_homology"]
 
 
 # --- counterexample -------------------------------------------------------
