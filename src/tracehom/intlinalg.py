@@ -1,7 +1,8 @@
 """Exact integer linear algebra.
 
-Sparse integer matrices, Smith normal form, finitely generated abelian
-groups in invariant factor form, and the homology of a chain complex.
+Sparse integer matrices, Smith normal form by one sparse elimination,
+finitely generated abelian groups in invariant factor form, and the
+homology of a chain complex.
 The complex is reduced once, top down (``homology_of_complex``): every
 adjacent pair of boundaries is checked to compose to zero, then each
 boundary gets one Smith normal form, without the columns that the unit
@@ -14,8 +15,8 @@ from math import gcd
 
 from .records import Record
 
-#: the one SNF kernel: sparse unit-pivot elimination in pure Python,
-#: with dense reduction of what it leaves
+#: the one SNF kernel: sparse elimination in pure Python, unit pivots
+#: first, then pivots of least absolute value on what they leave
 KERNEL_NAME = "python"
 
 
@@ -117,10 +118,10 @@ class SNFResult(Record):
     """Invariant factors d1 | d2 | ... of an integer matrix, ones included.
 
     The rank of the matrix is the number of factors.  ``smith_normal_form``
-    also records what its sparse phase did: ``pivot_rows``, the rows of
+    also records what its unit sweep did: ``pivot_rows``, the rows of
     the matrix it was given that hold its unit pivots, in pivot order,
-    and ``leftover``, the (rows, cols) shape of the block it handed to
-    the dense kernel.  Only the factors are compared and shown.
+    and ``leftover``, the (rows, cols) shape of the block still nonzero
+    after the sweep.  Only the factors are compared and shown.
     """
 
     __slots__ = ("invariant_factors", "pivot_rows", "leftover")
@@ -161,82 +162,18 @@ def _divisor_chain(values):
     return d
 
 
-def _min_abs_pivot(m, t, nr, nc):
-    # Smallest |entry| in the active submatrix m[t:, t:]; ties go to the
-    # lowest (row, col) because the scan is row-major and strict.
-    best = 0
-    bi = bj = -1
-    for i in range(t, nr):
-        mi = m[i]
-        for j in range(t, nc):
-            v = mi[j]
-            if v:
-                if v < 0:
-                    v = -v
-                if best == 0 or v < best:
-                    best, bi, bj = v, i, j
-                    if best == 1:
-                        return bi, bj, 1
-    return bi, bj, best
-
-
-def diagonalize(rows):
-    """Reduce an integer matrix to diagonal form with unimodular row and
-    column operations and return the positive diagonal entries.
-
-    This is the dense kernel for the block that sparse elimination
-    leaves.  It pivots on the entry of least absolute value, so it also
-    copes with blocks that hold no +-1 entry at all.  The entries come
-    back in pivot order with no divisibility normalization; the caller
-    is expected to sort them into an invariant factor chain.  ``rows`` is
-    a dense list of lists and is not modified.  All arithmetic is exact.
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    m = [list(r) for r in rows]
-    diag = []
-    t = 0
-    while t < nr and t < nc:
-        pi, pj, pv = _min_abs_pivot(m, t, nr, nc)
-        if pv == 0:
-            break
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        mt = m[t]
-        if mt[t] < 0:
-            mt[t:] = [-x for x in mt[t:]]
-        a = mt[t]
-        dirty = False
-        for i in range(t + 1, nr):
-            mi = m[i]
-            v = mi[t]
-            if not v:
-                continue
-            q, r = divmod(v, a)
-            if q:
-                mi[t:] = [x - q * y for x, y in zip(mi[t:], mt[t:])]
-            if r:
-                dirty = True
-        if dirty:
-            # The column now holds a remainder smaller than the pivot;
-            # rescan so it becomes the next pivot.
-            continue
-        for j in range(t + 1, nc):
-            # The column below the pivot is already clear, so a column
-            # shear only changes the pivot row.
-            r = mt[j] % a
-            if r != mt[j]:
-                mt[j] = r
-            if r:
-                dirty = True
-        if dirty:
-            continue
-        diag.append(a)
-        t += 1
-    return diag
+def _subtract(rows, cols, i, f, prow):
+    # row_i -= f * prow, keeping the column index in step
+    row = rows[i]
+    for k, v in prow.items():
+        w = row.get(k, 0) - f * v
+        if w:
+            if k not in row:
+                cols[k].add(i)
+            row[k] = w
+        else:
+            del row[k]
+            cols[k].discard(i)
 
 
 def smith_normal_form(m, drop_cols=()):
@@ -246,20 +183,27 @@ def smith_normal_form(m, drop_cols=()):
     is that of ``m`` without them, and the shape that decides the
     orientation below is that of the kept columns.
 
-    Sparse elimination first.  It sweeps the lines along the longer side
-    of the matrix: the columns of a wide or square matrix, the rows of a
-    tall one, which is eliminated as its transpose since SNF(A) =
-    SNF(A^T).  On sd2(RP2) under a fan of two points, the tall top
-    boundary (1620x1080) takes 718 row operations this way and 24,450
-    by columns; the wide one below it (543x1620) takes 1,080 by columns
-    and 24,160 by rows.  In each swept line a +-1 entry whose crossing
-    line is shortest becomes the pivot, ties to the lowest index.
-    Operations on the crossing lines clear the rest of the swept line;
-    the pivot's row and column then drop out with an invariant factor
-    of 1.  Lines without a unit entry are left alone, and the block that
-    is still nonzero at the end goes to the dense kernel, which pivots
-    on the entry of least absolute value.  The result records the rows
-    of ``m`` that hold the unit pivots and the shape of that block.
+    The elimination is sparse throughout.  A unit sweep comes first.  It
+    takes the lines along the longer side of the matrix: the columns of
+    a wide or square matrix, the rows of a tall one, which is eliminated
+    as its transpose since SNF(A) = SNF(A^T).  On sd2(RP2) under a fan
+    of two points, the tall top boundary (1620x1080) takes 718 row
+    operations this way and 24,450 by columns; the wide one below it
+    (543x1620) takes 1,080 by columns and 24,160 by rows.  In each swept
+    line a +-1 entry whose crossing line is shortest becomes the pivot,
+    ties to the lowest index.  Operations on the crossing lines clear
+    the rest of the swept line; the pivot's row and column then drop out
+    with an invariant factor of 1.  Lines without a unit entry are left
+    alone.
+
+    The block that is still nonzero after the sweep is reduced in place
+    with the same row operation.  Each step pivots on its entry of least
+    absolute value, ties to the lowest (row, col), and reduces the
+    pivot's column, then its row, modulo the pivot.  A pivot with
+    nothing left beside it is an invariant factor up to sign; a
+    remainder becomes a smaller pivot.  The result records the rows of
+    ``m`` that hold the unit pivots and the shape of the block the sweep
+    left.  The later pivots span no +-1 minor and are not recorded.
     ``m`` is not modified.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
@@ -308,26 +252,45 @@ def smith_normal_form(m, drop_cols=()):
         for k in prow:
             cols[k].discard(pivot)
         for i in col:
-            # row_i -= f * row_pivot, with f chosen to zero entry (i, j)
-            row = rows[i]
-            f = row.pop(j) * sign
-            for k, v in prow.items():
-                w = row.get(k, 0) - f * v
-                if w:
-                    if k not in row:
-                        cols[k].add(i)
-                    row[k] = w
-                else:
-                    del row[k]
-                    cols[k].discard(i)
+            # the multiple of the pivot row that zeroes entry (i, j)
+            _subtract(rows, cols, i, rows[i].pop(j) * sign, prow)
         del cols[j]
         pivots.append(j if flip else pivot)
-    left_cols = sorted(j for j, col in cols.items() if col)
-    left = [[rows[i].get(j, 0) for j in left_cols]
-            for i in sorted(rows) if rows[i]]
-    shape = (len(left), len(left_cols))
+    rows = {i: row for i, row in rows.items() if row}
+    shape = (len(rows), sum(1 for col in cols.values() if col))
+    factors = []
+    while rows:
+        # the entry of least |value|, in the lowest row that holds one
+        best = 0
+        for i, row in rows.items():
+            v = min(map(abs, row.values()))
+            if not best or v < best or (v == best and i < pivot):
+                best, pivot = v, i
+        prow = rows[pivot]
+        j = min(k for k, v in prow.items() if abs(v) == best)
+        a = prow[j]
+        # a remainder left in column j is the next pivot
+        for i in [i for i in cols[j] if i != pivot]:
+            _subtract(rows, cols, i, rows[i][j] // a, prow)
+            if not rows[i]:
+                del rows[i]
+        if len(cols[j]) > 1:
+            continue
+        # column j is clear below the pivot, so a column shear only
+        # changes the pivot row
+        for k in [k for k in prow if k != j]:
+            r = prow[k] % a
+            if r:
+                prow[k] = r
+            else:
+                del prow[k]
+                cols[k].discard(pivot)
+        if len(prow) > 1:
+            continue
+        factors.append(abs(a))
+        del rows[pivot], cols[j]
     return SNFResult(
-        (1,) * len(pivots) + tuple(_divisor_chain(diagonalize(left))),
+        (1,) * len(pivots) + tuple(_divisor_chain(factors)),
         tuple(pivots), shape[::-1] if flip else shape)
 
 
@@ -449,7 +412,8 @@ def homology_of_complex(boundaries):
     the unit vectors off P are a lattice basis of C_n-1, and d_n-1
     vanishes on the first part: d_n-1 with its columns in P deleted has
     the same Smith normal form, so the kernel is told to drop them.
-    Pivots of the dense leftover span no such minor and drop nothing.
+    Pivots of the block the sweep leaves span no such minor and drop
+    nothing.
     H_n has free rank dim C_n minus the ranks of d_n and d_n+1, and the
     nontrivial invariant factors of d_n+1 as its torsion.
 

@@ -146,6 +146,99 @@ def torsion_factors(rows):
     return [d for d in factors if d > 1]
 
 
+def _min_abs_pivot(m, t, nr, nc):
+    # Smallest |entry| in the active submatrix m[t:, t:]; ties go to the
+    # lowest (row, col) because the scan is row-major and strict.
+    best = 0
+    bi = bj = -1
+    for i in range(t, nr):
+        mi = m[i]
+        for j in range(t, nc):
+            v = mi[j]
+            if v:
+                if v < 0:
+                    v = -v
+                if best == 0 or v < best:
+                    best, bi, bj = v, i, j
+                    if best == 1:
+                        return bi, bj, 1
+    return bi, bj, best
+
+
+def diagonalize(rows):
+    """Reduce an integer matrix to diagonal form with unimodular row and
+    column operations and return the positive diagonal entries.
+
+    The oracle for ``smith_normal_form``: a dense reduction that pivots
+    on the entry of least absolute value, rescanning the whole active
+    block for each pivot.  The entries come back in pivot order with no
+    divisibility normalization (``divisor_chain`` does that).  ``rows``
+    is a dense list of lists and is not modified.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    m = [list(r) for r in rows]
+    diag = []
+    t = 0
+    while t < nr and t < nc:
+        pi, pj, pv = _min_abs_pivot(m, t, nr, nc)
+        if pv == 0:
+            break
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+        mt = m[t]
+        if mt[t] < 0:
+            mt[t:] = [-x for x in mt[t:]]
+        a = mt[t]
+        dirty = False
+        for i in range(t + 1, nr):
+            mi = m[i]
+            v = mi[t]
+            if not v:
+                continue
+            q, r = divmod(v, a)
+            if q:
+                mi[t:] = [x - q * y for x, y in zip(mi[t:], mt[t:])]
+            if r:
+                dirty = True
+        if dirty:
+            # The column now holds a remainder smaller than the pivot;
+            # rescan so it becomes the next pivot.
+            continue
+        for j in range(t + 1, nc):
+            # The column below the pivot is already clear, so a column
+            # shear only changes the pivot row.
+            r = mt[j] % a
+            if r != mt[j]:
+                mt[j] = r
+            if r:
+                dirty = True
+        if dirty:
+            continue
+        diag.append(a)
+        t += 1
+    return diag
+
+
+
+def divisor_chain(values):
+    """The invariant factors of diag(values), values positive.
+
+    diag(a, b) and diag(gcd(a, b), lcm(a, b)) present the same group.
+    Pairing each entry with every later one leaves in it the gcd of all
+    of them, which divides every lcm left behind, so one pass over the
+    pairs yields a chain."""
+    d = list(values)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
+
+
 def dense(m):
     """The rows of an IntegerMatrix, read from its entries."""
     return [[m.entries.get((i, j), 0) for j in range(m.cols)]

@@ -193,8 +193,8 @@ def test_each_boundary_reduced_once_and_shrunk(monkeypatch):
         assert smith_normal_form(kept) == result
         if above.leftover == (0, 0):
             assert kept.cols == below.cols - above.rank
-    # the torsion of d_3 is left to the dense kernel, whose pivots drop
-    # nothing from d_2
+    # the unit sweep leaves the torsion of d_3 behind, and the pivots that
+    # reduce it drop nothing from d_2
     snf3 = calls[0][2]
     assert snf3.leftover != (0, 0)
     assert len(calls[1][1]) == snf3.rank - 1
@@ -222,9 +222,9 @@ def test_reduction_matches_pair_route_oracle(data):
 
 
 def test_reduction_matches_pair_route_oracle_with_dense_leftover():
-    """Over the flagified projective plane d_3 leaves its torsion to the
-    dense kernel, whose pivots must not shrink d_2: under the fan, d_2
-    loses rank if they do."""
+    """Over the flagified projective plane the unit sweep of d_3 leaves its
+    torsion behind.  The pivots that reduce it must not shrink d_2: under
+    the fan, d_2 loses rank if they do."""
     alpha = barycentric_flagification(RP2_TRIANGLES)
     cases = [(x0_mset(alpha), system) for system in SYSTEMS.values()]
     for m, system in cases + [(fan_mset(alpha), PUNCTURED)]:

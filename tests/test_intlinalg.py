@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (as_pairs, bareiss_rank, change_one_entry,
-                     composes_to_zero, determinantal_factors,
-                     diagonal_complexes, random_matrix, sd2_rp2)
+                     composes_to_zero, dense, determinantal_factors,
+                     diagonal_complexes, diagonalize, divisor_chain,
+                     random_matrix, sd2_rp2)
 
 from tracehom import intlinalg
 from tracehom.chains import DELTA, boundary_matrix
@@ -185,8 +186,8 @@ def test_snf_result_compares_and_shows_only_the_factors():
 
 
 def test_snf_records_unit_pivots_and_leftover():
-    # a unit pivot in row 1; the 1x2 block [2, 4] left in row 0 goes to
-    # the dense kernel
+    # a unit pivot in row 1; the unit sweep leaves the 1x2 block [2, 4]
+    # in row 0, and the pivot 2 reduces it without joining pivot_rows
     result = snf_of([[2, 4, 0], [0, 3, 1]])
     assert result.invariant_factors == (1, 2)
     assert (result.pivot_rows, result.leftover) == ((1,), (1, 2))
@@ -197,12 +198,12 @@ def test_snf_records_unit_pivots_and_leftover():
     assert snf_of([[0, 0]]).leftover == (0, 0)
 
 
-# --- sparse elimination against the dense kernel and the oracles ---------
+# --- sparse elimination against the dense oracle and the others ---------
 
 def dense_snf(m):
-    """Invariant factors from the dense kernel alone, skipping the
-    sparse elimination that smith_normal_form runs first."""
-    return tuple(intlinalg._divisor_chain(intlinalg.diagonalize(m.to_rows())))
+    """Invariant factors from the dense oracle, which shares no code with
+    smith_normal_form."""
+    return tuple(divisor_chain(diagonalize(dense(m))))
 
 
 def random_sparse(rng, rows, cols, density, values):
@@ -234,7 +235,8 @@ def test_sparse_agrees_with_dense_kernel_on_unit_matrices():
 
 
 def test_snf_without_unit_entries():
-    # no +-1 entry anywhere: the whole matrix is left to the dense kernel
+    # no +-1 entry anywhere: the unit sweep leaves the whole matrix to the
+    # pivots of least absolute value
     rng = random.Random(97)
     for _ in range(40):
         m = random_sparse(rng, rng.randint(1, 4), rng.randint(1, 4),
@@ -243,6 +245,22 @@ def test_snf_without_unit_entries():
         result = smith_normal_form(m)
         assert list(result.invariant_factors) == determinantal_factors(rows)
         assert result.rank == bareiss_rank(rows)
+
+
+def test_snf_reduces_a_large_block_without_unit_entries_sparse():
+    """2 on the diagonal and 4 at (i, i+1 mod n) for every third i: 2
+    times an upper unitriangular matrix, so every factor is 2.  With no
+    +-1 entry the unit sweep leaves the whole matrix; reducing it in its
+    sparse form takes a fraction of a second, where a dense copy
+    rescanned for each pivot takes seconds."""
+    n = 1200
+    entries = {(i, i): 2 for i in range(n)}
+    entries.update({(i, (i + 1) % n): 4 for i in range(0, n, 3)})
+    start = time.perf_counter()
+    result = smith_normal_form(IntegerMatrix(n, n, entries))
+    assert time.perf_counter() - start < 3.0
+    assert result.invariant_factors == (2,) * n
+    assert (result.pivot_rows, result.leftover) == ((), (n, n))
 
 
 def test_snf_ignores_zero_rows_and_columns():
@@ -324,7 +342,7 @@ def test_snf_property_against_oracles(rows):
     assert smith_normal_form(transpose(m)) == result
     # the unit pivot rows carry a +-1 minor: the lattice their rows span
     # has a basis of unit vectors, so every factor of those rows is 1;
-    # the rest of the rank is left to the dense kernel
+    # the rest of the rank comes from the block the unit sweep leaves
     pivots = result.pivot_rows
     assert len(set(pivots)) == len(pivots) <= result.rank
     assert determinantal_factors([rows[i] for i in pivots]) == \
@@ -345,7 +363,7 @@ def test_snf_of_sd2_rp2_boundaries_both_ways():
     expect = {2: ((905, 2700), (1,) * 720),
               3: ((2700, 1800), (1,) * 1436 + (2,) * 4)}
     # every factor of d_2 comes from a unit pivot; the torsion of d_3
-    # comes from a 150x4 block left to the dense kernel, which is the
+    # comes from a 150x4 block that the unit sweep leaves, which is the
     # same block whichever way round the matrix is handed over
     leftover = {2: (0, 0), 3: (150, 4)}
     for n, (shape, factors) in expect.items():
@@ -426,8 +444,8 @@ def test_direct_sum():
 @given(diagonal_complexes())
 def test_complex_homology_read_off_the_diagonals(case):
     """Torsion from entries 2, 3 and 6 hidden by unimodular changes of
-    basis has to come out of the dense leftover, and only the unit
-    pivots above may shrink the map below."""
+    basis has to come out of the block the unit sweep leaves, and only
+    the unit pivots above may shrink the map below."""
     boundaries, groups = case
     assert as_pairs(homology_of_complex(boundaries)) == groups
 

@@ -193,7 +193,7 @@ def test_each_boundary_reduced_once_and_shrunk(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
     assert cx.reduced_homology() == [ZERO, Z2, ZERO]
-    # d_2 leaves the torsion to the dense kernel
+    # the unit sweep of d_2 leaves the torsion behind
     assert calls[0][2].leftover != (0, 0)
     assert [d for d, _, _ in calls] == maps_of(cx)[-2::-1]
     assert calls[0][1] == ()

@@ -21,7 +21,7 @@ RETIRED = {
     "chains.basis",
     # both routes call homology_of_complex, never its two-map case
     "intlinalg.pair",
-    # the SNF kernel builds its own dense block
+    # the SNF kernel reads the sparse entries, with no dense copy
     "intlinalg.to_rows",
     # d o d = 0 is checked without building the product
     "intlinalg.matmul",

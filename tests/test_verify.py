@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from helpers import alphabets, random_alphabet, random_mset
+from helpers import alphabets, random_alphabet, random_mset, sd2_rp2
 
-from tracehom import chains, cli, simplicial
+from tracehom import chains, cli, intlinalg, simplicial
 from tracehom.alphabet import IndependenceAlphabet
 from tracehom.chains import ChainComplex
 from tracehom.intlinalg import AbelianGroup
@@ -220,6 +220,30 @@ def test_main_holds_on_random_trees():
         m = random_tree_mset(rng, random_alphabet(rng, max_size=5))
         report = check_theorem_main(m)
         assert report.holds, report.witness
+
+
+def test_main_on_sd2_rp2_under_a_fan_of_32_points(monkeypatch):
+    """32 copies of the Z/2 of RP2 in H_2.  They come from a 990x32 block
+    of d_3 that the unit sweep leaves behind, reduced by non-unit pivots
+    that must not shrink d_2."""
+    fan = full_action_from_successor(
+        sd2_rp2(), {f"x{k}": BASEPOINT for k in range(32)})
+    snf = intlinalg.smith_normal_form
+    calls = []
+
+    def recording(m, drop_cols=()):
+        calls.append(snf(m, drop_cols))
+        return calls[-1]
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    report = check_theorem_main(fan)
+    assert report.holds, report.witness
+    assert chains.homology(fan, chains.DELTA) == [
+        Z, 181 * Z, AbelianGroup(540, (2,) * 32), 360 * Z]
+    snf3 = calls[0]
+    assert snf3.leftover == (990, 32)
+    assert snf3.rank == 11520
+    assert len(snf3.pivot_rows) == snf3.rank - 32
 
 
 # --- aug ------------------------------------------------------------------
