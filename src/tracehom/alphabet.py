@@ -14,7 +14,7 @@ class IndependenceAlphabet:
     """Generators in declaration order plus unordered independence pairs."""
 
     __slots__ = ("generators", "pairs", "_index", "_adjacent", "_cliques",
-                 "_x0", "_reduced")
+                 "_faces", "_homology", "_x0", "_reduced")
 
     def __init__(self, generators, independence=()):
         problems = []
@@ -62,12 +62,15 @@ class IndependenceAlphabet:
         # clique table: level k holds the k-cliques and, for each, the
         # bitmask of later generators independent of all its members;
         # the 1-cliques' masks are the later-neighbour masks themselves.
-        # Higher levels are added on demand by enumerate_cliques.
+        # Higher levels are added on demand by _level.
         self._cliques = [([()], [(1 << len(gens)) - 1]),
                          ([(g,) for g in gens], later)]
-        # kept like the clique table, filled on first use: the two-point
-        # reference action (msets.x0_mset) and the clique complex's
-        # reduced homology per degree bound (verify)
+        # kept like the clique table, filled on first use: the face table
+        # of each degree and the homology of each distinct chain complex
+        # (chains), the two-point reference action (msets.x0_mset) and
+        # the clique complex's reduced homology per degree bound (verify)
+        self._faces = {}
+        self._homology = {}
         self._x0 = None
         self._reduced = {}
 
@@ -117,10 +120,16 @@ def enumerate_cliques(alpha, k):
     """
     if k < 0:
         raise ValueError(f"negative clique size {k}")
+    return list(_level(alpha, k))
+
+
+def _level(alpha, k):
+    """The kept level of k-cliques (k >= 0), grown on demand.  It is not
+    a copy: callers read it and must not change it."""
     table = alpha._cliques
     while len(table) <= k and table[-1][0]:
         table.append(_next_level(alpha.generators, table[1][1], *table[-1]))
-    return list(table[k][0]) if k < len(table) else []
+    return table[k][0] if k < len(table) else ()
 
 
 def clique_counts(alpha, top=None):
@@ -132,7 +141,7 @@ def clique_counts(alpha, top=None):
     """
     counts = [1]
     while top is None or len(counts) <= top:
-        n = len(enumerate_cliques(alpha, len(counts)))
+        n = len(_level(alpha, len(counts)))
         if not n:
             break
         counts.append(n)

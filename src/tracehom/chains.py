@@ -13,18 +13,22 @@ basepoint-punctured, and the basepoint-only cases.
 
 Bases are element-major: with p_n the number of n-cliques, basis
 element (point k, clique c) of degree n sits at index k * p_n + c.  A
-boundary is assembled from a face table computed once per call: for
-each n-clique, the index of each face K minus e_s in level n-1, the
-generator e_s and the sign.  Rows and columns are then index
-arithmetic on each point's images under the generators, looked up once
-per point.  The two terms of a face cancel when x.e_s = x and are left
-out; no other two terms of a column share a row, so each entry is
-stored once, as +-1, straight into the matrix.  Only the public
-``IntegerMatrix`` constructor validates entries; the builder's are
-handed over unchecked.
+boundary is assembled from a face table, built once per degree and
+kept on the alphabet: for each n-clique, the index of each face K
+minus e_s in level n-1, the generator e_s and the sign.  Rows and
+columns are then index arithmetic on the action's image table (each
+rank-1 point's images under the generators, as basis positions).  The
+two terms of a face cancel when x.e_s = x and are left out, so a point
+that every generator fixes gives zero columns; no other two terms of a
+column share a row, so each entry is stored once, as +-1, straight
+into the matrix.  Only the public ``IntegerMatrix`` constructor
+validates entries; the builder's are handed over unchecked.
+
+The alphabet and the image table determine the whole complex, so
+``homology`` keeps its groups on the alphabet under the image table.
 """
 
-from .alphabet import enumerate_cliques, max_clique_size
+from .alphabet import clique_counts, enumerate_cliques
 from .intlinalg import IntegerMatrix, homology_of_complex
 from .msets import BASEPOINT as STAR
 
@@ -76,44 +80,68 @@ def _basis_points(m, system):
     return [x for x in m.carrier if system.value_at(x)]
 
 
+def _image_table(m, system):
+    """What the action gives the complex: one tuple per rank-1 point, in
+    basis order, holding per generator the basis position of the point's
+    image, None for an image of rank 0 and -1 for the point itself.
+    Over one alphabet, equal tables give equal complexes."""
+    points = _basis_points(m, system)
+    where = {x: k for k, x in enumerate(points)}
+    gens, act = m.alphabet.generators, m._table
+    table = []
+    for k, x in enumerate(points):
+        where[x] = -1
+        table.append(tuple([where.get(act[x, e]) for e in gens]))
+        where[x] = k
+    return tuple(table)
+
+
+def _face_table(alpha, degree):
+    """p_{n-1} and the face table of the n-cliques: per n-clique, (face
+    index, generator position, sign) for s = 0 .. n-1, the sign being
+    (-1)^(s+1).  Built once per degree and kept on the alphabet."""
+    kept = alpha._faces.get(degree)
+    if kept is None:
+        lower = enumerate_cliques(alpha, degree - 1)
+        position = {g: s for s, g in enumerate(alpha.generators)}
+        face_index = {K: f for f, K in enumerate(lower)}
+        faces = [[(face_index[K[:s] + K[s + 1:]], position[K[s]],
+                   1 if s % 2 else -1) for s in range(len(K))]
+                 for K in enumerate_cliques(alpha, degree)]
+        kept = alpha._faces[degree] = (len(lower), faces)
+    return kept
+
+
 def boundary_matrix(m, system, degree):
     """Matrix of the degree-n boundary over the degree n-1 basis, from
     the face table of the n-cliques (see the module docstring)."""
     if degree < 1:
         raise ValueError(f"boundary needs degree >= 1, got {degree}")
-    alpha = m.alphabet
-    lower = enumerate_cliques(alpha, degree - 1)
-    upper = enumerate_cliques(alpha, degree)
-    p_lo, p_up = len(lower), len(upper)
-    position = {g: s for s, g in enumerate(alpha.generators)}
-    face_index = {K: f for f, K in enumerate(lower)}
-    # face table: per n-clique, (face index, generator position, sign)
-    # for s = 0 .. n-1, the sign being (-1)^(s+1)
-    faces = [[(face_index[K[:s] + K[s + 1:]], position[K[s]],
-               1 if s % 2 else -1) for s in range(len(K))]
-             for K in upper]
-    points = _basis_points(m, system)
-    where = {x: k for k, x in enumerate(points)}
+    p_lo, faces = _face_table(m.alphabet, degree)
+    p_up = len(faces)
+    images = _image_table(m, system)
+    fixed = (-1,) * len(m.alphabet.generators)
     entries = {}
     col = 0
-    for k, x in enumerate(points):
-        # row offset of each generator's image: None for a point of rank
-        # 0, -1 for x itself, where the face's two terms cancel
-        image = []
-        for e in alpha.generators:
-            j = where.get(m.act(x, e))
-            image.append(None if j is None else -1 if j == k else j * p_lo)
+    for k, image in enumerate(images):
+        if image == fixed:
+            # every face's two terms cancel: the columns are zero
+            col += p_up
+            continue
+        # row offset of each generator's image; None and -1 as in the
+        # image table
+        offset = [j if j is None or j == -1 else j * p_lo for j in image]
         own = k * p_lo
         for clique_faces in faces:
             for f, s, sign in clique_faces:
-                y = image[s]
+                y = offset[s]
                 if y == -1:
                     continue
                 if y is not None:
                     entries[(y + f, col)] = sign
                 entries[(own + f, col)] = -sign
             col += 1
-    return IntegerMatrix._unchecked(len(points) * p_lo, len(points) * p_up,
+    return IntegerMatrix._unchecked(len(images) * p_lo, len(images) * p_up,
                                     entries)
 
 
@@ -167,12 +195,12 @@ def build_complex(m, system, top=None):
     x (n-cliques); its basis is never listed.  That d o d = 0 is checked
     where homology is taken, by ``homology_of_complex``.
     """
-    alpha = m.alphabet
+    counts = clique_counts(m.alphabet, top)
     if top is None:
-        top = max_clique_size(alpha)
+        top = len(counts) - 1
     points = len(_basis_points(m, system))
-    dims = [points * len(enumerate_cliques(alpha, n))
-            for n in range(top + 1)]
+    dims = [points * p for p in counts[:top + 1]] + \
+        [0] * (top + 1 - len(counts))
     boundaries = [boundary_matrix(m, system, n) for n in range(1, top + 1)]
     return ChainComplex(dims, boundaries)
 
@@ -183,13 +211,16 @@ def homology(m, system, max_degree=None):
     degrees above the largest clique size come out as zero groups, and a
     negative bound gives none.
 
-    The groups are computed once per (system, max_degree) and kept on
-    the action, so the identities of ``verify`` that share a term build
-    and reduce its complex once; each call returns a fresh list."""
-    key = (system, max_degree)
-    groups = m._homology.get(key)
+    The groups are kept on the alphabet, one entry per distinct image
+    table and bound.  Equal image tables give equal boundaries, so a
+    complex that two actions or two systems share, like PUNCTURED of
+    ``x0_mset`` and of the same action under another element name, is
+    built and reduced once; each call returns a fresh list."""
+    kept = m.alphabet._homology
+    key = (_image_table(m, system), max_degree)
+    groups = kept.get(key)
     if groups is None:
         top = None if max_degree is None else max_degree + 1
-        groups = build_complex(m, system, top).homology(max_degree)
-        m._homology[key] = groups
+        groups = kept[key] = build_complex(m, system, top).homology(
+            max_degree)
     return list(groups)

@@ -25,12 +25,13 @@ class PointedMSet:
     ``action`` maps element name -> {generator -> target}; a row for the
     basepoint may be omitted and is filled in with fixity.  Construction
     raises ValidationError listing every missing cell, moved basepoint,
-    and violated commutation square.  The homology groups of the action
-    are kept on it per (coefficient system, degree bound), filled by
-    ``chains.homology``.
+    and violated commutation square.  Its homology is kept on the
+    alphabet, not on the action: ``chains.homology`` keeps one entry per
+    distinct image table, so actions that give the same complex share
+    it.
     """
 
-    __slots__ = ("alphabet", "elements", "_table", "_homology")
+    __slots__ = ("alphabet", "elements", "_table")
 
     def __init__(self, alphabet, elements, action):
         problems = []
@@ -92,7 +93,6 @@ class PointedMSet:
         self.alphabet = alphabet
         self.elements = elems
         self._table = table
-        self._homology = {}
 
     @property
     def carrier(self):
@@ -124,8 +124,10 @@ def full_action_from_successor(alpha, successor):
 def x0_mset(alpha):
     """The two-point reference: one element sent to the basepoint by
     every generator.  It is built once per alphabet and kept on it, so
-    the same alphabet always gives the same object, and with it the
-    homology kept on that object."""
+    the same alphabet always gives the same object.  Its homology is
+    kept on the alphabet with that of every action that gives the same
+    image table (see ``chains.homology``), such as the same action under
+    another element name."""
     if alpha._x0 is None:
         alpha._x0 = full_action_from_successor(alpha, {"x0": BASEPOINT})
     return alpha._x0

@@ -18,11 +18,12 @@ Checks whose preconditions fail report "not applicable" rather than
 passing silently.
 
 The identities share terms.  Each term is computed once and kept on the
-object it belongs to: the homology of an action on the action (see
-``chains.homology``), and the two-point reference and the clique
-complex's reduced homology on the alphabet.  main and aug still
-compare a side from the chains route with one from the simplicial
-route.
+alphabet: the homology of an action, one entry per distinct image table
+(see ``chains.homology``), the two-point reference and the clique
+complex's reduced homology.  On the two-point action itself, its
+PUNCTURED complex is the reference's, so ``verify all`` reduces three
+complexes, not four.  main and aug still compare a side from the
+chains route with one from the simplicial route.
 """
 
 from .alphabet import clique_counts, max_clique_size

@@ -17,6 +17,21 @@ RP2_TRIANGLES = ["124", "126", "134", "135", "156",
                  "235", "236", "245", "346", "456"]
 
 
+def moore3_faces():
+    """A mod-3 Moore space as a face list: a circle a, b, c and a disc
+    whose boundary reads a b c a b c a b c, triangulated through an inner
+    ring u0 .. u8 and a centre w.  Face counts (13, 39, 27), reduced
+    homology [0, Z/3, 0]."""
+    rim = "abc" * 3
+    ring = [f"u{i}" for i in range(9)]
+    faces = []
+    for i in range(9):
+        j = (i + 1) % 9
+        faces += [(rim[i], rim[j], ring[i]), (rim[j], ring[i], ring[j]),
+                  (ring[i], ring[j], "w")]
+    return faces
+
+
 def sd2_rp2():
     """Alphabet of the second barycentric subdivision of RP2: 181
     generators, clique counts [1, 181, 540, 360]."""

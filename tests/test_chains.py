@@ -11,7 +11,7 @@ from helpers import (RP2_TRIANGLES, actions, alphabets, as_pairs,
                      random_alphabet, random_mset, reference_boundary,
                      relabel_elements, rename_generators, shuffle_generators)
 
-from tracehom import intlinalg
+from tracehom import chains, intlinalg
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
                                max_clique_size)
 from tracehom.chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS,
@@ -20,7 +20,7 @@ from tracehom.chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS,
 from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
                                 IntegerMatrix, smith_normal_form)
 from tracehom.msets import (BASEPOINT, PointedMSet, chain_mset, fan_mset,
-                            x0_mset)
+                            full_action_from_successor, x0_mset)
 from tracehom.simplicial import barycentric_flagification, clique_complex
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -348,18 +348,47 @@ def test_kept_homology_is_handed_out_as_a_fresh_list():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_kept_homology_matches_a_fresh_computation(data):
-    """Requests for (system, bound) in any order, with repeats and with
-    bounded ones before the unbounded one, each give what a complex
-    built for that request alone gives."""
+    """Two actions over one alphabet keep their homology in the same
+    table.  Requests for every system and bound of both, each made twice
+    in random order, each give what a complex built for that request
+    alone gives, so two different complexes never share an entry."""
     alpha = data.draw(alphabets(max_size=5))
-    m = data.draw(actions(alpha, max_elements=3))
-    keys = [(system, bound) for system in SYSTEMS.values()
-            for bound in (None, -2, -1, 0, 1, 2, 4)]
-    for system, bound in data.draw(st.lists(st.sampled_from(keys),
-                                            min_size=1, max_size=12)):
+    ms = [data.draw(actions(alpha, max_elements=3)) for _ in range(2)]
+    requests = [(m, system, bound) for m in ms for system in SYSTEMS.values()
+                for bound in (None, -2, -1, 0, 1, 2, 4)]
+    for m, system, bound in data.draw(st.permutations(2 * requests)):
         top = None if bound is None else bound + 1
         assert homology(m, system, bound) == \
             build_complex(m, system, top).homology(bound)
+
+
+def test_equal_image_tables_share_one_kept_entry(monkeypatch):
+    """The two-point action under another element name gives the
+    reference's PUNCTURED complex, and BASEPOINT of any action gives the
+    basepoint fixed by every generator: each is built once."""
+    alpha = IndependenceAlphabet(
+        "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    built = []
+    build = chains.build_complex
+
+    def counting(m, system, top=None):
+        built.append((m, system))
+        return build(m, system, top)
+
+    monkeypatch.setattr(chains, "build_complex", counting)
+    renamed = full_action_from_successor(alpha, {"p": BASEPOINT})
+    assert homology(renamed, PUNCTURED) == [ZERO, ZERO, Z]
+    assert homology(x0_mset(alpha), PUNCTURED) == [ZERO, ZERO, Z]
+    assert built == [(renamed, PUNCTURED)]
+    assert len(alpha._homology) == 1
+    chain, fan = chain_mset(alpha), fan_mset(alpha)
+    assert homology(chain, BASEPOINT_ONLY) == \
+        homology(fan, BASEPOINT_ONLY) == [Z, 4 * Z, 4 * Z]
+    assert built[1:] == [(chain, BASEPOINT_ONLY)]
+    # different complexes still get entries of their own
+    homology(chain, PUNCTURED)
+    homology(fan, PUNCTURED)
+    assert len(built) == len(alpha._homology) == 4
 
 
 def test_bounded_complex_lists_no_higher_clique():

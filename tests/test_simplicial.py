@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (RP2_TRIANGLES, alphabets, as_pairs, change_one_entry,
-                     composes_to_zero, pair_route_homology, random_alphabet)
+                     composes_to_zero, moore3_faces, pair_route_homology,
+                     random_alphabet)
 
 from tracehom import ValidationError, intlinalg
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
@@ -260,6 +261,18 @@ def test_flagification_projective_plane():
     assert clique_counts(alpha) == [1, 31, 90, 60]
     assert max_clique_size(alpha) == 3
     assert clique_complex(alpha).reduced_homology() == [ZERO, Z2, ZERO]
+
+
+def test_moore_space_has_three_torsion():
+    """A disc wrapped three times round a circle: Z/3 in degree 1,
+    directly and through its flagified alphabet."""
+    z3 = AbelianGroup(0, (3,))
+    direct = SimplicialComplex.from_maximal_faces(moore3_faces())
+    assert [direct.count(k) for k in range(3)] == [13, 39, 27]
+    assert direct.reduced_homology() == [ZERO, z3, ZERO]
+    alpha = barycentric_flagification(moore3_faces())
+    assert clique_counts(alpha) == [1, 79, 240, 162]
+    assert clique_complex(alpha).reduced_homology() == [ZERO, z3, ZERO]
 
 
 def test_flagification_is_subdivision():

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from helpers import alphabets, random_alphabet, random_mset, sd2_rp2
+from helpers import (alphabets, moore3_faces, random_alphabet, random_mset,
+                     sd2_rp2)
 
 from tracehom import chains, cli, intlinalg, simplicial
 from tracehom.alphabet import IndependenceAlphabet
@@ -12,7 +13,7 @@ from tracehom.chains import ChainComplex
 from tracehom.intlinalg import AbelianGroup
 from tracehom.msets import (BASEPOINT, ConditionsReport, PointedMSet,
                             full_action_from_successor, x0_mset)
-from tracehom.simplicial import SimplicialComplex
+from tracehom.simplicial import SimplicialComplex, barycentric_flagification
 from tracehom.verify import (ALL_CHECKS, CounterexampleReport,
                              DegreeComparison, VerificationReport,
                              check_lemma_split,
@@ -246,6 +247,18 @@ def test_main_on_sd2_rp2_under_a_fan_of_32_points(monkeypatch):
     assert len(snf3.pivot_rows) == snf3.rank - 32
 
 
+def test_main_and_aug_on_the_moore_space_under_a_fan_of_3_points():
+    """Three copies of the Z/3 of the mod-3 Moore space in H_2: torsion
+    other than Z/2 through both routes."""
+    alpha = barycentric_flagification(moore3_faces())
+    fan = full_action_from_successor(
+        alpha, {f"x{k}": BASEPOINT for k in range(3)})
+    assert chains.homology(fan, chains.DELTA)[2] == \
+        AbelianGroup(240, (3, 3, 3))
+    for report in (check_theorem_main(fan), check_theorem_aug(alpha)):
+        assert report.holds, report.witness
+
+
 # --- aug ------------------------------------------------------------------
 
 def test_aug_contractible_schema():
@@ -262,7 +275,6 @@ def test_aug_cycle4():
 
 
 def test_aug_torsion_case():
-    from tracehom.simplicial import barycentric_flagification
     alpha = barycentric_flagification(
         ["124", "126", "134", "135", "156",
          "235", "236", "245", "346", "456"])
@@ -323,11 +335,10 @@ def test_bound_cuts_or_pads_every_report():
 
 # --- shared terms ---------------------------------------------------------
 
-def test_verify_all_reduces_each_distinct_complex_once(monkeypatch, capsys):
-    """split, power, main and aug on the two-point action over sd(RP2)
-    need DELTA and PUNCTURED of the action, PUNCTURED of the two-point
-    reference (a second object, built from the alphabet) and the
-    schema's reduced homology: four complexes, each reduced once."""
+def reduced_shapes(monkeypatch, problem):
+    """Run `verify` on a problem file, which raises SystemExit on a
+    FAIL, and give the boundary shapes of each complex it reduces, on
+    the chains and the simplicial route alike, in order."""
     shapes = []
 
     def wrap(original):
@@ -339,17 +350,38 @@ def test_verify_all_reduces_each_distinct_complex_once(monkeypatch, capsys):
     for module in (chains, simplicial):
         monkeypatch.setattr(module, "homology_of_complex",
                             wrap(module.homology_of_complex))
-    cli.main(["verify", str(PROBLEMS / "rp2_x0.json")])
-    assert "FAIL" not in capsys.readouterr().out
+    cli.main(["verify", str(PROBLEMS / problem)])
+    return shapes
+
+
+def complex_shapes(counts, points):
+    dims = [points * c for c in counts]
+    return [(0, dims[0])] + list(zip(dims, dims[1:])) + [(dims[-1], 0)]
+
+
+def schema_shapes(counts):
+    return [(1, counts[1])] + list(zip(counts[1:], counts[2:])) + \
+        [(counts[-1], 0)]
+
+
+def test_verify_all_reduces_each_distinct_complex_once(monkeypatch):
+    """split, power, main and aug on the two-point action over sd(RP2)
+    need DELTA and PUNCTURED of the action, PUNCTURED of the two-point
+    reference and the schema's reduced homology.  The action is the
+    reference, so its PUNCTURED complex is the reference's: three
+    complexes, each reduced once."""
     p = [1, 31, 90, 60]  # the clique counts of sd(RP2)
+    assert reduced_shapes(monkeypatch, "rp2_x0.json") == \
+        [complex_shapes(p, 2), complex_shapes(p, 1), schema_shapes(p)]
 
-    def chain_shapes(points):
-        dims = [points * c for c in p]
-        return [(0, dims[0])] + list(zip(dims, dims[1:])) + [(dims[-1], 0)]
 
-    schema = [(1, p[1])] + list(zip(p[1:], p[2:])) + [(p[-1], 0)]
-    assert shapes == [chain_shapes(2), chain_shapes(1), chain_shapes(1),
-                      schema]
+def test_verify_on_a_fan_reduces_four_complexes(monkeypatch):
+    """The action of four points has a PUNCTURED complex of its own, so
+    the reference's is a fourth one."""
+    p = [1, 4, 4]  # the clique counts of the 4-cycle
+    assert reduced_shapes(monkeypatch, "fan4_cycle4.json") == \
+        [complex_shapes(p, 5), complex_shapes(p, 4), complex_shapes(p, 1),
+         schema_shapes(p)]
 
 
 @pytest.mark.parametrize("claim", ["main", "aug"])
