@@ -20,9 +20,11 @@ columns are then index arithmetic on the action's image table (each
 rank-1 point's images under the generators, as basis positions).  The
 two terms of a face cancel when x.e_s = x and are left out, so a point
 that every generator fixes gives zero columns; no other two terms of a
-column share a row, so each entry is stored once, as +-1, straight
-into the matrix.  Only the public ``IntegerMatrix`` constructor
-validates entries; the builder's are handed over unchecked.
+column share a row, so each entry is stored once, as +-1, into one
+row-keyed dict per column.  A column left empty is not stored, and a
+point that every generator fixes adds nothing.  Only the public
+``IntegerMatrix`` constructor validates entries; the builder's columns
+are handed over unchecked.
 
 The alphabet and the image table determine the whole complex, so
 ``homology`` keeps its groups on the alphabet under the image table.
@@ -87,11 +89,12 @@ def _image_table(m, system):
     Over one alphabet, equal tables give equal complexes."""
     points = _basis_points(m, system)
     where = {x: k for k, x in enumerate(points)}
-    gens, act = m.alphabet.generators, m._table
+    gens, rows = m.alphabet.generators, m._rows
     table = []
     for k, x in enumerate(points):
         where[x] = -1
-        table.append(tuple([where.get(act[x, e]) for e in gens]))
+        row = rows[x]
+        table.append(tuple([where.get(row[e]) for e in gens]))
         where[x] = k
     return tuple(table)
 
@@ -113,36 +116,37 @@ def _face_table(alpha, degree):
 
 
 def boundary_matrix(m, system, degree):
-    """Matrix of the degree-n boundary over the degree n-1 basis, from
-    the face table of the n-cliques (see the module docstring)."""
+    """Matrix of the degree-n boundary over the degree n-1 basis, filled
+    column by column from the face table of the n-cliques (see the
+    module docstring)."""
     if degree < 1:
         raise ValueError(f"boundary needs degree >= 1, got {degree}")
     p_lo, faces = _face_table(m.alphabet, degree)
     p_up = len(faces)
     images = _image_table(m, system)
     fixed = (-1,) * len(m.alphabet.generators)
-    entries = {}
-    col = 0
+    columns = {}
     for k, image in enumerate(images):
         if image == fixed:
             # every face's two terms cancel: the columns are zero
-            col += p_up
             continue
         # row offset of each generator's image; None and -1 as in the
         # image table
         offset = [j if j is None or j == -1 else j * p_lo for j in image]
         own = k * p_lo
-        for clique_faces in faces:
+        for col, clique_faces in enumerate(faces, k * p_up):
+            column = {}
             for f, s, sign in clique_faces:
                 y = offset[s]
                 if y == -1:
                     continue
                 if y is not None:
-                    entries[(y + f, col)] = sign
-                entries[(own + f, col)] = -sign
-            col += 1
+                    column[y + f] = sign
+                column[own + f] = -sign
+            if column:
+                columns[col] = column
     return IntegerMatrix._unchecked(len(images) * p_lo, len(images) * p_up,
-                                    entries)
+                                    columns)
 
 
 class ChainComplex:

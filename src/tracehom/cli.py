@@ -8,6 +8,7 @@ negative isomorphism test), 2 a usage error or malformed input.
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -321,6 +322,20 @@ def main(argv=None, standalone_mode=True):
     or 2 (see the module docstring).  standalone_mode is accepted and
     ignored: the benchmark (``perfbench/worker.py``) passes
     ``standalone_mode=False``.
+
+    The command runs with the cyclic garbage collector paused, since a
+    pass would only rescan the matrices it holds, and the collector's
+    state is restored however the command ends.  Reference counting
+    frees what a command allocates, apart from a few reference cycles,
+    the largest an alphabet and the two-point action kept on it.  Those
+    live until the command ends anyway, and the collector reclaims them
+    once it is back on.
     """
     args = vars(_PARSER.parse_args(argv))
-    args.pop("run")(**args)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args.pop("run")(**args)
+    finally:
+        if enabled:
+            gc.enable()

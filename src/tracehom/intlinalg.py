@@ -1,8 +1,11 @@
 """Exact integer linear algebra.
 
-Sparse integer matrices, Smith normal form by one sparse elimination,
-finitely generated abelian groups in invariant factor form, and the
-homology of a chain complex.
+Sparse integer matrices held by column, Smith normal form by one sparse
+elimination, finitely generated abelian groups in invariant factor
+form, and the homology of a chain complex.
+A matrix stores ``{col: {row: value}}`` with no empty column and no zero
+value, and each stage below reads that layout as it is: the product,
+the d o d check and the intake of the elimination.
 The complex is reduced once, top down (``homology_of_complex``): every
 adjacent pair of boundaries is checked to compose to zero, then each
 boundary gets one Smith normal form, without the columns that the unit
@@ -11,6 +14,7 @@ works over arbitrary-precision integers; entry growth during reduction
 is expected and must not overflow.
 """
 
+from itertools import chain
 from math import gcd
 
 from .records import Record
@@ -29,37 +33,50 @@ class BoundaryCompositionError(ValueError):
 
 
 class IntegerMatrix:
-    """Sparse matrix over the integers; absent entries are zero.
+    """Sparse matrix over the integers, held by column; absent entries
+    are zero.
 
-    >>> IntegerMatrix(2, 2, {(0, 0): 2, (1, 1): -3}).to_rows()
+    ``columns`` maps a column index to ``{row: value}`` and holds only
+    nonzero columns and nonzero values.  ``entries`` is the same matrix
+    keyed by (row, col), derived afresh on each read.
+
+    >>> m = IntegerMatrix(2, 2, {(0, 0): 2, (1, 1): -3})
+    >>> m.to_rows()
     [[2, 0], [0, -3]]
+    >>> m.columns
+    {0: {0: 2}, 1: {1: -3}}
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative dimensions {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        clean = {}
+        columns = {}
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ShapeError(f"entry ({i}, {j}) outside {rows}x{cols}")
+                v = int(v)
                 if v:
-                    clean[(i, j)] = int(v)
-        self.entries = clean
+                    col = columns.get(j)
+                    if col is None:
+                        columns[j] = {i: v}
+                    else:
+                        col[i] = v
+        self.columns = columns
 
     @classmethod
-    def _unchecked(cls, rows, cols, entries):
-        """Wrap entries that are known to be nonzero integers inside the
-        shape, without checking or copying them; only the public
-        constructor validates."""
+    def _unchecked(cls, rows, cols, columns):
+        """Wrap columns that are known to be nonempty dicts of nonzero
+        integers inside the shape, without checking or copying them;
+        only the public constructor validates."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
+        m.columns = columns
         return m
 
     @classmethod
@@ -75,14 +92,21 @@ class IntegerMatrix:
                     entries[(i, j)] = v
         return cls(rows, cols, entries)
 
+    @property
+    def entries(self):
+        """The nonzero entries as a new dict keyed by (row, col)."""
+        return {(i, j): v for j, col in self.columns.items()
+                for i, v in col.items()}
+
     def to_rows(self):
         dense = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
+        for j, col in self.columns.items():
+            for i, v in col.items():
+                dense[i][j] = v
         return dense
 
     def is_zero(self):
-        return not self.entries
+        return not self.columns
 
     def __matmul__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -91,24 +115,24 @@ class IntegerMatrix:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} with "
                 f"{other.rows}x{other.cols}")
-        if not (self.entries and other.entries):
-            return IntegerMatrix._unchecked(self.rows, other.cols, {})
-        by_row = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        acc = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + a * b
-        return IntegerMatrix._unchecked(
-            self.rows, other.cols, {key: v for key, v in acc.items() if v})
+        # column j of the product is the sum of other[k, j] * column k
+        mine = self.columns
+        columns = {}
+        for j, ocol in other.columns.items():
+            acc = {}
+            for k, b in ocol.items():
+                for i, a in mine.get(k, {}).items():
+                    acc[i] = acc.get(i, 0) + a * b
+            col = {i: v for i, v in acc.items() if v}
+            if col:
+                columns[j] = col
+        return IntegerMatrix._unchecked(self.rows, other.cols, columns)
 
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == \
-            (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.columns) == \
+            (other.rows, other.cols, other.columns)
 
     def __repr__(self):
         return f"IntegerMatrix({self.rows}, {self.cols}, {self.entries!r})"
@@ -181,7 +205,11 @@ def smith_normal_form(m, drop_cols=()):
 
     The columns of ``m`` listed in ``drop_cols`` are left out: the result
     is that of ``m`` without them, and the shape that decides the
-    orientation below is that of the kept columns.
+    orientation below is that of the kept columns.  A column to drop
+    outside the matrix raises ShapeError.  The stored columns that are
+    kept become the lines of the elimination: copies of them are the
+    rows of a tall matrix's transpose, and their row sets are the
+    column index of a wide one.
 
     The elimination is sparse throughout.  A unit sweep comes first.  It
     takes the lines along the longer side of the matrix: the columns of
@@ -212,28 +240,39 @@ def smith_normal_form(m, drop_cols=()):
     SNFResult(invariant_factors=(2,))
     """
     drop = set(drop_cols)
-    if m.rows == 0 or m.cols == len(drop) or not m.entries:
+    if drop:
+        low, high = min(drop), max(drop)
+        if low < 0 or high >= m.cols:
+            raise ShapeError(f"drop column {low if low < 0 else high} "
+                             f"outside {m.rows}x{m.cols}")
+    if m.rows == 0 or m.cols == len(drop) or not m.columns:
         return SNFResult(())
+    kept = m.columns
+    if drop:
+        kept = {j: col for j, col in kept.items() if j not in drop}
     # rows and cols name the lines of the matrix that is eliminated: m
-    # itself, or m^T when m is tall
+    # itself, or m^T when m is tall, whose rows are the kept columns
     flip = m.rows > m.cols - len(drop)
-    rows = {}
-    cols = {}
-    for (i, j), v in m.entries.items():
-        if drop and j in drop:
-            continue
-        if flip:
-            i, j = j, i
-        row = rows.get(i)
-        if row is None:
-            rows[i] = {j: v}
-        else:
-            row[j] = v
-        col = cols.get(j)
-        if col is None:
-            cols[j] = {i}
-        else:
-            col.add(i)
+    if flip:
+        rows = {j: dict(col) for j, col in kept.items()}
+        cols = {}
+        for j, col in kept.items():
+            for i in col:
+                line = cols.get(i)
+                if line is None:
+                    cols[i] = {j}
+                else:
+                    line.add(j)
+    else:
+        cols = {j: set(col) for j, col in kept.items()}
+        rows = {}
+        for j, col in kept.items():
+            for i, v in col.items():
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = {j: v}
+                else:
+                    row[j] = v
     pivots = []
     for j in sorted(cols):
         col = cols[j]
@@ -361,6 +400,12 @@ class AbelianGroup:
         return f"AbelianGroup({self.free_rank}, {self.torsion!r})"
 
 
+def _largest(m):
+    """max |entry| of a nonzero matrix."""
+    return max(map(abs, chain.from_iterable(map(dict.values,
+                                                m.columns.values()))))
+
+
 def _composes_to_zero(d_in, d_out):
     """Whether d_in @ d_out is the zero matrix, found without building
     the product.
@@ -369,28 +414,34 @@ def _composes_to_zero(d_in, d_out):
     field: packed[k] = sum of d_in[i, k] * 2^(w*i).  Column j of the
     product is then sum over k of d_out[k, j] * packed[k], which equals
     sum of P[i, j] * 2^(w*i) exactly, as Python integers do not wrap.
-    Every |P[i, j]| is at most max |d_in| times the 1-norm of column j of
-    d_out; w is sized so that this bound is below 2^w, and then the sum
-    is zero only if every P[i, j] is (the lowest nonzero one would have
-    to be a multiple of 2^w), so no carry between fields can fake a
-    zero.
+    Every |P[i, j]| is at most max |d_in| times max |d_out| times the
+    number of entries in column j of d_out, which is at least max |d_in|
+    times the 1-norm of that column.  w is sized so that the largest
+    such bound is below 2^w, and then the sum is zero only if every
+    P[i, j] is (the lowest nonzero one would have to be a multiple of
+    2^w), so no carry between fields can fake a zero.  The check stops
+    at the first column whose sum is not zero.
     """
-    if not (d_in.entries and d_out.entries):
+    if not (d_in.columns and d_out.columns):
         return True
-    norms = {}
-    for (_, j), v in d_out.entries.items():
-        norms[j] = norms.get(j, 0) + abs(v)
-    bound = max(map(abs, d_in.entries.values())) * max(norms.values())
+    bound = _largest(d_in) * _largest(d_out) * \
+        max(map(len, d_out.columns.values()))
     w = bound.bit_length()
-    packed = {}
-    for (i, k), v in d_in.entries.items():
-        packed[k] = packed.get(k, 0) + (v << w * i)
-    sums = {}
-    for (k, j), v in d_out.entries.items():
-        p = packed.get(k)
-        if p:
-            sums[j] = sums.get(j, 0) + v * p
-    return not any(sums.values())
+    packed = [0] * d_in.cols
+    for k, col in d_in.columns.items():
+        p = 0
+        for i, v in col.items():
+            p += v << w * i
+        packed[k] = p
+    for col in d_out.columns.values():
+        s = 0
+        for k, v in col.items():
+            p = packed[k]
+            if p:
+                s += v * p
+        if s:
+            return False
+    return True
 
 
 def homology_of_complex(boundaries):
@@ -438,7 +489,7 @@ def homology_of_complex(boundaries):
     above = None
     for d in reversed(boundaries):
         drop = () if above is None else above.pivot_rows
-        snf = smith_normal_form(d, drop) if d.entries else SNFResult(())
+        snf = smith_normal_form(d, drop) if d.columns else SNFResult(())
         if above is not None:
             groups.append(AbelianGroup(
                 d.cols - snf.rank - above.rank,

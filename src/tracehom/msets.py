@@ -25,13 +25,16 @@ class PointedMSet:
     ``action`` maps element name -> {generator -> target}; a row for the
     basepoint may be omitted and is filled in with fixity.  Construction
     raises ValidationError listing every missing cell, moved basepoint,
-    and violated commutation square.  Its homology is kept on the
+    and violated commutation square.  The validated table is held as
+    one ``{generator: target}`` dict per carrier point, in carrier
+    order; the commutation squares and the chain complex's image table
+    read it row by row.  Its homology is kept on the
     alphabet, not on the action: ``chains.homology`` keeps one entry per
     distinct image table, so actions that give the same complex share
     it.
     """
 
-    __slots__ = ("alphabet", "elements", "_table")
+    __slots__ = ("alphabet", "elements", "_rows")
 
     def __init__(self, alphabet, elements, action):
         problems = []
@@ -55,18 +58,18 @@ class PointedMSet:
         for x in action:
             if x not in carrier_set:
                 problems.append(f"action row for undeclared element {x!r}")
-        table = {}
+        rows = {}
         for x in carrier:
             row = action.get(x, {})
             if x == BASEPOINT and not row:
                 # omitted basepoint row: fixity by default
-                for e in alphabet.generators:
-                    table[(x, e)] = BASEPOINT
+                rows[x] = dict.fromkeys(alphabet.generators, BASEPOINT)
                 continue
             for e in row:
                 if e not in alphabet._index:
                     problems.append(f"action row {x!r} names "
                                     f"unknown generator {e!r}")
+            targets = rows[x] = {}
             for e in alphabet.generators:
                 if e not in row:
                     problems.append(f"missing action entry ({x!r}, {e!r})")
@@ -78,12 +81,12 @@ class PointedMSet:
                 elif x == BASEPOINT and y != BASEPOINT:
                     problems.append(f"basepoint moved: *.{e!r} = {y!r}")
                 else:
-                    table[(x, e)] = y
+                    targets[e] = y
         if not problems:
             for a, b in sorted(alphabet.pairs):
-                for x in carrier:
-                    lhs = table[(table[(x, a)], b)]
-                    rhs = table[(table[(x, b)], a)]
+                for x, row in rows.items():
+                    lhs = rows[row[a]][b]
+                    rhs = rows[row[b]][a]
                     if lhs != rhs:
                         problems.append(
                             f"commutation fails at {x!r}: "
@@ -92,7 +95,7 @@ class PointedMSet:
             raise ValidationError(problems)
         self.alphabet = alphabet
         self.elements = elems
-        self._table = table
+        self._rows = rows
 
     @property
     def carrier(self):
@@ -100,7 +103,7 @@ class PointedMSet:
 
     def act(self, x, e):
         try:
-            return self._table[(x, e)]
+            return self._rows[x][e]
         except KeyError:
             raise ValueError(f"no action entry for ({x!r}, {e!r})") from None
 

@@ -256,8 +256,21 @@ def divisor_chain(values):
 
 def dense(m):
     """The rows of an IntegerMatrix, read from its entries."""
-    return [[m.entries.get((i, j), 0) for j in range(m.cols)]
+    entries = m.entries
+    return [[entries.get((i, j), 0) for j in range(m.cols)]
             for i in range(m.rows)]
+
+
+def assert_column_storage(m):
+    """m holds only nonempty columns of nonzero integers, all inside its
+    shape, and its entries view counts exactly what it holds."""
+    stored = 0
+    for j, col in m.columns.items():
+        assert 0 <= j < m.cols and col, (j, col)
+        for i, v in col.items():
+            assert 0 <= i < m.rows and type(v) is int and v, (i, j, v)
+        stored += len(col)
+    assert len(m.entries) == stored
 
 
 def dense_product(a, b):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (RP2_TRIANGLES, actions, alphabets, as_pairs,
-                     change_one_entry, composes_to_zero, pair_route_homology,
+                     assert_column_storage, change_one_entry,
+                     composes_to_zero, pair_route_homology,
                      random_alphabet, random_mset, reference_boundary,
                      relabel_elements, rename_generators, shuffle_generators)
 
@@ -109,9 +110,24 @@ def test_boundary_matches_term_by_term_reference(data):
             reference = reference_boundary(m, system, n)
             assert (d.rows, d.cols) == (reference.rows, reference.cols)
             assert d.entries == reference.entries
-            for (i, j), v in d.entries.items():
-                assert v in (1, -1)
-                assert 0 <= i < d.rows and 0 <= j < d.cols
+            assert_column_storage(d)
+            assert all(v in (1, -1) for col in d.columns.values()
+                       for v in col.values())
+
+
+def test_boundary_of_a_fixed_point_stores_nothing():
+    """A point that every generator fixes contributes zero columns, which
+    are not stored; a point that only some generators fix keeps the
+    columns of the cliques that move it."""
+    fixed = PointedMSet(PAIR, ["x0"], {"x0": {"a": "x0", "b": "x0"}})
+    for n in (1, 2):
+        d = boundary_matrix(fixed, PUNCTURED, n)
+        assert d.cols and d.is_zero() and d.columns == {}
+    half = PointedMSet(PAIR, ["x0"], {"x0": {"a": "x0", "b": BASEPOINT}})
+    d1 = boundary_matrix(half, PUNCTURED, 1)
+    # column 0 is (x0, a), which a fixes; (x0, b) loses x0 to the basepoint
+    assert d1.columns == {1: {0: 1}}
+    assert_column_storage(d1)
 
 
 def test_boundary_needs_positive_degree():

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tracehom import alphabet, verify
+from tracehom import alphabet, chains, verify
 from tracehom.chains import SYSTEMS, homology
 from tracehom.intlinalg import AbelianGroup
 from tracehom.cli import main
@@ -544,6 +545,46 @@ def test_main_in_process(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         call("schema", PROBLEMS / "rp2_faces.txt")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_paused_while_a_command_runs(tmp_path, monkeypatch,
+                                               enabled):
+    """The command runs with the cyclic collector off, and however it
+    ends, the collector is left as main found it."""
+    during = []
+    compute = chains.homology
+
+    def recording(*args):
+        during.append(gc.isenabled())
+        return compute(*args)
+
+    def failing(*args):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    bad = write(tmp_path, "bad.json", "{not json")
+    calls = [
+        (recording, ("homology", PROBLEMS / "x0_cycle4.json"), 0),
+        (recording, ("iso", PROBLEMS / "chain2_cycle4.json",
+                     PROBLEMS / "fan2_cycle4.json"), 1),
+        (recording, ("homology", bad), 2),
+        (failing, ("homology", PROBLEMS / "x0_cycle4.json"), RuntimeError),
+    ]
+    try:
+        for command, args, outcome in calls:
+            monkeypatch.setattr(chains, "homology", command)
+            (gc.enable if enabled else gc.disable)()
+            if outcome is RuntimeError:
+                with pytest.raises(RuntimeError, match="boom"):
+                    main([str(a) for a in args])
+            else:
+                assert run(*args).exit_code == outcome
+            assert gc.isenabled() is enabled, args
+    finally:
+        gc.enable()
+    # the two calls that reach the homology see the collector off
+    assert during == [False, False]
 
 
 @pytest.mark.parametrize("args, name", [

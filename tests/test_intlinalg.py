@@ -4,8 +4,9 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import (as_pairs, bareiss_rank, change_one_entry,
-                     composes_to_zero, dense, determinantal_factors,
+from helpers import (as_pairs, assert_column_storage, bareiss_rank,
+                     change_one_entry, composes_to_zero, dense,
+                     dense_product, determinantal_factors,
                      diagonal_complexes, diagonalize, divisor_chain,
                      random_matrix, sd2_rp2)
 
@@ -86,6 +87,80 @@ def test_matmul_empty_dimensions():
 def test_is_zero():
     assert IntegerMatrix(3, 4).is_zero()
     assert not IntegerMatrix.from_rows([[0, 1]]).is_zero()
+
+
+def test_stored_by_column():
+    m = IntegerMatrix(3, 4, {(2, 1): 7, (0, 1): -1, (1, 3): 0, (0, 0): 2})
+    assert m.columns == {1: {2: 7, 0: -1}, 0: {0: 2}}
+    assert m.entries == {(2, 1): 7, (0, 1): -1, (0, 0): 2}
+    # the view is derived: changing it leaves the matrix alone
+    m.entries[(1, 1)] = 5
+    assert len(m.entries) == 3
+    with pytest.raises(AttributeError):
+        m.entries = {}
+
+
+#: entry values, zeros and cancelling units included
+SMALL = st.sampled_from((0, 0, 1, -1, 1, -1, 2, -3, 2 ** 65))
+
+
+@st.composite
+def entry_dicts(draw, rows=None, cols=None):
+    """(rows, cols, {(i, j): value}) with zeros among the values."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    if not (rows and cols):
+        return rows, cols, {}
+    keys = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return rows, cols, draw(st.dictionaries(keys, SMALL))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(entry_dicts())
+def test_constructor_round_trip(case):
+    rows, cols, entries = case
+    m = IntegerMatrix(rows, cols, entries)
+    assert_column_storage(m)
+    assert m.entries == {key: v for key, v in entries.items() if v}
+    assert IntegerMatrix(rows, cols, m.entries) == m
+    assert m.to_rows() == [[entries.get((i, j), 0) for j in range(cols)]
+                           for i in range(rows)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(entry_dicts(), st.data())
+def test_matmul_agrees_with_the_dense_product(left, data):
+    rows, inner, entries = left
+    _, cols, right = data.draw(entry_dicts(rows=inner))
+    a = IntegerMatrix(rows, inner, entries)
+    b = IntegerMatrix(inner, cols, right)
+    product = a @ b
+    assert_column_storage(product)
+    assert (product.rows, product.cols) == (rows, cols)
+    want = dense_product(dense(a), dense(b)) if inner else \
+        [[0] * cols for _ in range(rows)]
+    assert dense(product) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(entry_dicts(), st.randoms(use_true_random=False))
+def test_equality_ignores_insertion_order(case, rng):
+    rows, cols, entries = case
+    m = IntegerMatrix(rows, cols, entries)
+    items = list(entries.items())
+    rng.shuffle(items)
+    shuffled = IntegerMatrix(rows, cols, dict(items))
+    assert shuffled == m
+    # the same columns, stored in reverse order and with reversed rows
+    columns = {j: dict(reversed(col.items()))
+               for j, col in reversed(m.columns.items())}
+    assert IntegerMatrix._unchecked(rows, cols, columns) == m
+    if m.columns:
+        j = next(iter(m.columns))
+        i = next(iter(m.columns[j]))
+        changed = dict(m.entries)
+        changed[(i, j)] += 1
+        assert IntegerMatrix(rows, cols, changed) != m
 
 
 # --- Smith normal form ---------------------------------------------------
@@ -305,10 +380,30 @@ def test_snf_drops_the_columns_it_is_told_to():
 
 
 def test_snf_leaves_its_argument_alone():
-    m = IntegerMatrix.from_rows([[1, 2, 0], [3, 1, 4], [0, 5, -1]])
-    before = dict(m.entries)
-    smith_normal_form(m)
-    assert m.entries == before
+    # square and wide matrices are eliminated as given, tall ones as
+    # their transpose; neither may touch the stored columns
+    for rows in ([[1, 2, 0], [3, 1, 4], [0, 5, -1]],
+                 [[1, 2], [3, 1], [0, 5]]):
+        m = IntegerMatrix.from_rows(rows)
+        before = {j: dict(col) for j, col in m.columns.items()}
+        smith_normal_form(m)
+        smith_normal_form(m, [0])
+        assert m.columns == before
+
+
+def test_snf_rejects_dropped_columns_outside_the_shape():
+    """A column to drop must be a column of the matrix; naming two that
+    are not, as many as it has, once made the matrix look empty."""
+    m = IntegerMatrix.from_rows([[1, 0], [0, 2]])
+    for drop, name in (([5, 6], "6"), ([2], "2"), ([-1], "-1"),
+                       ([0, 2], "2"), ((-3, 1), "-3")):
+        with pytest.raises(ShapeError, match=f"column {name} outside 2x2"):
+            smith_normal_form(m, drop)
+    for empty in (IntegerMatrix(2, 2), IntegerMatrix(0, 2)):
+        with pytest.raises(ShapeError):
+            smith_normal_form(empty, [2])
+    assert smith_normal_form(m, [0, 1]) == SNFResult(())
+    assert smith_normal_form(m, [1, 1]) == SNFResult((1,))
 
 
 def transpose(m):
@@ -468,7 +563,8 @@ def test_composition_check_is_not_fooled_by_carries():
     read as zero.  In 8-bit fields 256 in row 0 cancels -1 in row 1, and
     2^64 = 2^(8*8) in row 0 cancels -1 in row 8.  Sizing the fields by
     the largest entries alone (1 bit here) would let the entry 2, a sum
-    of two unit terms, cancel the -1 below it."""
+    of two unit terms, cancel the -1 below it; sizing them without the
+    largest entry of d_out would let its 4 cancel the -1 below it."""
     one = IntegerMatrix.from_rows([[1]])
     cases = [
         (IntegerMatrix.from_rows([[256], [-1]]), one),
@@ -478,6 +574,10 @@ def test_composition_check_is_not_fooled_by_carries():
         # a single nonzero entry 2^64 = 2^63 + 2^63
         (IntegerMatrix.from_rows([[2 ** 63, 2 ** 63]]),
          IntegerMatrix.from_rows([[1], [1]])),
+        # product [[4], [-1]]: fields sized by d_in and the column length
+        # alone (2 bits) would let 4 in row 0 cancel -1 in row 1
+        (IntegerMatrix.from_rows([[1, 0], [0, -1]]),
+         IntegerMatrix.from_rows([[4], [1]])),
     ]
     for d_in, d_out in cases:
         assert not (d_in @ d_out).is_zero()
