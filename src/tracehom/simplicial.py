@@ -3,10 +3,15 @@
 This is a second, deliberately separate route to the same invariants as
 chains.py: simplices are stored as sorted vertex tuples and the boundary
 is the standard alternating face sum.  Keeping the two implementations
-independent lets the test suite play them against each other.
+independent lets the test suite and ``verify`` play them against each
+other, so this module imports nothing from chains.py.  Like the chains
+route, it fills each boundary column by column from a table of facet
+indices, here the one its closure check makes, and hands the columns to
+``IntegerMatrix`` unchecked.
 """
 
 from itertools import chain, combinations
+from operator import lt
 
 from .alphabet import IndependenceAlphabet, enumerate_cliques
 from .errors import ValidationError
@@ -17,10 +22,16 @@ class SimplicialComplex:
     """Finite abstract simplicial complex.
 
     ``simplices[k]`` lists the dimension-k simplices as tuples sorted by
-    vertex order; closure under taking faces is checked on construction.
+    vertex order.  Construction first validates every level (each
+    simplex has k + 1 vertices of the complex, in strictly increasing
+    vertex order) and then checks closure under taking faces, level by
+    level.  That check looks each facet up once and keeps the result:
+    for each k-simplex with k >= 1, the row indices of its facets in
+    level k - 1, in ``combinations`` order (the last vertex dropped
+    first).  The boundaries are filled from that table.
     """
 
-    __slots__ = ("vertices", "simplices", "_index")
+    __slots__ = ("vertices", "simplices", "_facets")
 
     def __init__(self, vertices, simplices):
         self.vertices = tuple(vertices)
@@ -29,27 +40,36 @@ class SimplicialComplex:
             raise ValidationError(["duplicate vertices"])
         levels = []
         for k, level in enumerate(simplices):
-            cleaned = []
+            keyed = []
             for simplex in level:
                 simplex = tuple(simplex)
                 if len(simplex) != k + 1:
                     raise ValidationError(
                         [f"simplex {simplex!r} is not {k}-dimensional"])
-                idx = [vindex.get(v) for v in simplex]
-                if None in idx or sorted(set(idx)) != idx:
+                idx = tuple(map(vindex.get, simplex))
+                if None in idx or not all(map(lt, idx, idx[1:])):
                     raise ValidationError(
                         [f"simplex {simplex!r} is not a sorted vertex tuple"])
-                cleaned.append(simplex)
-            levels.append(sorted(cleaned, key=lambda s: [vindex[v] for v in s]))
+                keyed.append((idx, simplex))
+            # distinct simplices have distinct idx, so no two vertices
+            # are ever compared
+            keyed.sort()
+            levels.append([simplex for _, simplex in keyed])
         self.simplices = levels
-        self._index = [{s: i for i, s in enumerate(level)}
-                       for level in levels]
+        # _facets[k - 1][c]: the rows in level k - 1 of the facets of
+        # simplex c of level k
+        self._facets = []
         for k in range(1, len(levels)):
+            lower = {s: i for i, s in enumerate(levels[k - 1])}.get
+            rows = []
             for simplex in levels[k]:
-                for facet in combinations(simplex, k):
-                    if facet not in self._index[k - 1]:
-                        raise ValidationError(
-                            [f"missing face {facet!r} of {simplex!r}"])
+                row = list(map(lower, combinations(simplex, k)))
+                if None in row:
+                    facet = list(combinations(simplex, k))[row.index(None)]
+                    raise ValidationError(
+                        [f"missing face {facet!r} of {simplex!r}"])
+                rows.append(row)
+            self._facets.append(rows)
 
     @classmethod
     def from_maximal_faces(cls, faces):
@@ -86,22 +106,35 @@ class SimplicialComplex:
 
     def augmentation(self):
         """The all-ones map from vertices to Z."""
-        return IntegerMatrix(1, self.count(0),
-                             {(0, j): 1 for j in range(self.count(0))})
+        return IntegerMatrix._unchecked(
+            1, self.count(0), {j: {0: 1} for j in range(self.count(0))})
 
     def boundary_matrix(self, k):
-        """Standard simplicial boundary from dimension k to k - 1."""
+        """Standard simplicial boundary from dimension k to k - 1.
+
+        The facet that drops vertex i of a simplex gets the sign (-1)^i.
+        Columns are filled from the facet table that the closure check
+        made, so the entries are ±1 inside the shape by construction
+        and go to ``IntegerMatrix`` unchecked.  Past the top dimension
+        the map is zero.  A solid triangle's d_2 has one column, over
+        the edges ab, ac, bc:
+
+        >>> cx = SimplicialComplex.from_maximal_faces([("a", "b", "c")])
+        >>> cx.simplices[1]
+        [('a', 'b'), ('a', 'c'), ('b', 'c')]
+        >>> cx.boundary_matrix(2).columns
+        {0: {0: 1, 1: -1, 2: 1}}
+        """
         if k < 1:
             raise ValueError(f"boundary needs dimension >= 1, got {k}")
         if k > self.dim:
             return IntegerMatrix(self.count(k - 1), 0)
-        faces = self._index[k - 1]
-        entries = {}
-        for col, simplex in enumerate(self.simplices[k]):
-            for i in range(len(simplex)):
-                face = simplex[:i] + simplex[i + 1:]
-                entries[(faces[face], col)] = -1 if i % 2 else 1
-        return IntegerMatrix(self.count(k - 1), self.count(k), entries)
+        # combinations drops the last vertex first
+        signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)]
+        return IntegerMatrix._unchecked(
+            self.count(k - 1), self.count(k),
+            {c: dict(zip(row, signs))
+             for c, row in enumerate(self._facets[k - 1])})
 
     def reduced_homology(self):
         """Reduced homology groups in degrees 0 .. dim.
@@ -142,18 +175,28 @@ def clique_complex(alpha, top=None):
 
 def read_face_list(text):
     """Parse a face-list file: one maximal face per line, vertices as
-    whitespace-separated tokens, '#' starting a comment line."""
+    whitespace-separated tokens.
+
+    A line whose first token starts with '#' is a comment line; '#'
+    starts no comment anywhere else.  Every line that has a token
+    starting with '#' after its first token, and every line that
+    repeats a vertex, is named in one ``ValidationError``.
+    """
     faces = []
+    problems = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        if line.lstrip().startswith("#"):
-            continue
         tokens = line.split()
-        if not tokens:
+        if not tokens or tokens[0].startswith("#"):
             continue
+        if any(t.startswith("#") for t in tokens[1:]):
+            problems.append(f"line {lineno}: '#' starts a comment only at "
+                            f"the start of a line: {line.strip()!r}")
         if len(set(tokens)) != len(tokens):
-            raise ValidationError(
-                [f"line {lineno}: face repeats a vertex: {line.strip()!r}"])
+            problems.append(
+                f"line {lineno}: face repeats a vertex: {line.strip()!r}")
         faces.append(tokens)
+    if problems:
+        raise ValidationError(problems)
     return faces
 
 

@@ -264,6 +264,21 @@ def test_schema_flagify_rejects_bad_face(tmp_path):
     assert "line 2" in result.stderr
 
 
+def test_schema_flagify_rejects_a_hash_inside_a_face_line(tmp_path):
+    """'a b c # tri' is no triangle with a comment, nor a 5-vertex face:
+    exit 2, naming every bad line."""
+    path = write(tmp_path, "faces.txt",
+                 "# triangle\na b c # tri\nc d\nd d\n")
+    result = run("schema", path, "--flagify")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {path}: line 2: '#' starts a comment only at the start "
+        "of a line: 'a b c # tri'",
+        f"error: {path}: line 4: face repeats a vertex: 'd d'",
+    ]
+
+
 def test_schema_json():
     result = run("schema", PROBLEMS / "cycle4.json", "--format", "json")
     payload = json.loads(result.stdout)

@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 from itertools import combinations
@@ -6,11 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import (RP2_TRIANGLES, alphabets, as_pairs, change_one_entry,
+from helpers import (RP2_TRIANGLES, alphabets, as_pairs,
+                     assert_column_storage, change_one_entry,
                      composes_to_zero, moore3_faces, pair_route_homology,
                      random_alphabet)
 
-from tracehom import ValidationError, intlinalg
+from tracehom import ValidationError, intlinalg, simplicial
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
                                max_clique_size)
 from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
@@ -54,24 +56,52 @@ def test_no_faces_gives_empty_complex():
     assert cx.reduced_homology() == []
 
 
+def problems_of(vertices, levels):
+    with pytest.raises(ValidationError) as info:
+        SimplicialComplex(vertices, levels)
+    return info.value.problems
+
+
 def test_missing_face_rejected():
-    with pytest.raises(ValidationError, match="missing face"):
-        SimplicialComplex(["a", "b"], [[("a",)], [("a", "b")]])
+    assert problems_of(["a", "b"], [[("a",)], [("a", "b")]]) == \
+        ("missing face ('b',) of ('a', 'b')",)
 
 
 def test_unsorted_simplex_rejected():
-    with pytest.raises(ValidationError, match="sorted"):
-        SimplicialComplex(["a", "b"], [[("a",), ("b",)], [("b", "a")]])
+    assert problems_of(["a", "b"], [[("a",), ("b",)], [("b", "a")]]) == \
+        ("simplex ('b', 'a') is not a sorted vertex tuple",)
+    assert problems_of(["a", "b"], [[("a",), ("b",)], [("a", "a")]]) == \
+        ("simplex ('a', 'a') is not a sorted vertex tuple",)
+    assert problems_of(["a"], [[("z",)]]) == \
+        ("simplex ('z',) is not a sorted vertex tuple",)
 
 
 def test_wrong_dimension_rejected():
-    with pytest.raises(ValidationError, match="not 0-dimensional"):
-        SimplicialComplex(["a", "b"], [[("a", "b")]])
+    assert problems_of(["a", "b"], [[("a", "b")]]) == \
+        ("simplex ('a', 'b') is not 0-dimensional",)
 
 
 def test_duplicate_vertices_rejected():
-    with pytest.raises(ValidationError, match="duplicate"):
-        SimplicialComplex(["a", "a"], [[("a",)]])
+    assert problems_of(["a", "a"], [[("a",)]]) == ("duplicate vertices",)
+
+
+def test_missing_face_named_first_in_combinations_order():
+    """(a, b, c) lacks the edges ac and bc; combinations lists ab, ac,
+    bc, so ac is the one named."""
+    vertices = ["a", "b", "c"]
+    levels = [[("a",), ("b",), ("c",)], [("a", "b")], [("a", "b", "c")]]
+    assert problems_of(vertices, levels) == \
+        ("missing face ('a', 'c') of ('a', 'b', 'c')",)
+    assert problems_of(["a", "b"], [[], [("a", "b")]]) == \
+        ("missing face ('a',) of ('a', 'b')",)
+
+
+def test_every_level_validated_before_closure():
+    """Level 1 misses the vertex c and level 2 holds an unsorted
+    simplex: the unsorted simplex is reported."""
+    levels = [[("a",), ("b",)], [("a", "c")], [("b", "a", "c")]]
+    assert problems_of(["a", "b", "c"], levels) == \
+        ("simplex ('b', 'a', 'c') is not a sorted vertex tuple",)
 
 
 # --- homology ------------------------------------------------------------
@@ -111,6 +141,43 @@ def test_boundary_matrix_edges():
     assert (past_top.rows, past_top.cols) == (1, 0)
     with pytest.raises(ValueError):
         cx.boundary_matrix(0)
+
+
+def face_sum_boundary(cx, k):
+    """d_k term by term through the public constructor: the face that
+    drops vertex i of a simplex gets the sign (-1)^i, its row found by
+    searching the level below."""
+    lower = cx.simplices[k - 1]
+    upper = cx.simplices[k] if k <= cx.dim else []
+    entries = {}
+    for col, simplex in enumerate(upper):
+        for i in range(len(simplex)):
+            face = simplex[:i] + simplex[i + 1:]
+            entries[(lower.index(face), col)] = (-1) ** i
+    return IntegerMatrix(len(lower), len(upper), entries)
+
+
+def assert_boundaries_term_by_term(cx):
+    n = cx.count(0)
+    augmentation = cx.augmentation()
+    assert augmentation == IntegerMatrix(1, n, {(0, j): 1 for j in range(n)})
+    assert_column_storage(augmentation)
+    for k in range(1, cx.dim + 2):
+        d = cx.boundary_matrix(k)
+        assert d == face_sum_boundary(cx, k), k
+        assert_column_storage(d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sets(st.sampled_from("abcdef"), min_size=1), max_size=6))
+def test_boundaries_of_drawn_faces_term_by_term(faces):
+    assert_boundaries_term_by_term(SimplicialComplex.from_maximal_faces(faces))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(alphabets(max_size=8))
+def test_boundaries_of_clique_complexes_term_by_term(alpha):
+    assert_boundaries_term_by_term(clique_complex(alpha))
 
 
 def test_euler_characteristic():
@@ -231,6 +298,23 @@ def test_read_face_list_repeated_vertex():
         read_face_list("1 2\n3 3\n")
 
 
+def test_read_face_list_hash_inside_a_face_line():
+    """'#' starts a comment line only; a '#' token later in a face line
+    is an error, not a vertex, and every bad line is named."""
+    text = "#a b\n a b c # tri\nd e\nf f\ng #h #h\nx#y z\n"
+    with pytest.raises(ValidationError) as info:
+        read_face_list(text)
+    assert info.value.problems == (
+        "line 2: '#' starts a comment only at the start of a line: "
+        "'a b c # tri'",
+        "line 4: face repeats a vertex: 'f f'",
+        "line 5: '#' starts a comment only at the start of a line: "
+        "'g #h #h'",
+        "line 5: face repeats a vertex: 'g #h #h'",
+    )
+    assert read_face_list("#a b\nd e\nx#y z\n") == [["d", "e"], ["x#y", "z"]]
+
+
 # --- barycentric flagification -------------------------------------------
 
 def test_flagification_hollow_triangle():
@@ -305,3 +389,23 @@ def test_bundled_flagified_alphabet_is_reproducible():
     doc = json.loads((PROBLEMS / "rp2_x0.json").read_text())
     bundled = IndependenceAlphabet(doc["generators"], doc["independence"])
     assert bundled == alpha
+
+
+# --- independence of the two routes ---------------------------------------
+
+def test_simplicial_route_imports_nothing_from_chains():
+    """``verify``'s main and aug identities compare the chains route with
+    this one; they stay two implementations only while simplicial.py
+    imports nothing from chains.py."""
+    tree = ast.parse(Path(simplicial.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.append(base)
+            imported += [f"{base}.{alias.name}" for alias in node.names]
+    assert imported
+    for name in imported:
+        assert "chains" not in name.split("."), name
