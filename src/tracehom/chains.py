@@ -17,7 +17,8 @@ boundary is assembled from a face table, built once per degree and
 kept on the alphabet: for each n-clique, the index of each face K
 minus e_s in level n-1, the generator e_s and the sign.  Rows and
 columns are then index arithmetic on the action's image table (each
-rank-1 point's images under the generators, as basis positions).  The
+rank-1 point's images under the generators, as basis positions), which
+is built once per coefficient system and kept on the action.  The
 two terms of a face cancel when x.e_s = x and are left out, so a point
 that every generator fixes gives zero columns; no other two terms of a
 column share a row, so each entry is stored once, as +-1, into one
@@ -86,17 +87,21 @@ def _image_table(m, system):
     """What the action gives the complex: one tuple per rank-1 point, in
     basis order, holding per generator the basis position of the point's
     image, None for an image of rank 0 and -1 for the point itself.
-    Over one alphabet, equal tables give equal complexes."""
-    points = _basis_points(m, system)
-    where = {x: k for k, x in enumerate(points)}
-    gens, rows = m.alphabet.generators, m._rows
-    table = []
-    for k, x in enumerate(points):
-        where[x] = -1
-        row = rows[x]
-        table.append(tuple([where.get(row[e]) for e in gens]))
-        where[x] = k
-    return tuple(table)
+    Over one alphabet, equal tables give equal complexes.  Built on
+    first use and kept on the action, one table per system."""
+    table = m._images.get(system)
+    if table is None:
+        points = _basis_points(m, system)
+        where = {x: k for k, x in enumerate(points)}
+        gens, rows = m.alphabet.generators, m._rows
+        table = []
+        for k, x in enumerate(points):
+            where[x] = -1
+            row = rows[x]
+            table.append(tuple([where.get(row[e]) for e in gens]))
+            where[x] = k
+        table = m._images[system] = tuple(table)
+    return table
 
 
 def _face_table(alpha, degree):
@@ -202,7 +207,7 @@ def build_complex(m, system, top=None):
     counts = clique_counts(m.alphabet, top)
     if top is None:
         top = len(counts) - 1
-    points = len(_basis_points(m, system))
+    points = len(_image_table(m, system))
     dims = [points * p for p in counts[:top + 1]] + \
         [0] * (top + 1 - len(counts))
     boundaries = [boundary_matrix(m, system, n) for n in range(1, top + 1)]

@@ -11,6 +11,7 @@ import argparse
 import gc
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import chains, verify
 from .alphabet import IndependenceAlphabet, clique_counts
@@ -32,6 +33,39 @@ def _echo(line, stream=None):
     except UnicodeEncodeError:
         stream.flush()
         stream.buffer.write(line.encode("utf-8"))
+
+
+def _json(value, indent="\n"):
+    """value as ``json.dumps(value, indent=2)`` writes it, in one pass.
+
+    json.dumps leaves its C encoder whenever indent is set.  This writes
+    the same text for None, bools, ints, strings, and lists, tuples and
+    dicts with string keys, each string through json's own escaper, and
+    raises TypeError on any other value or key.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        ends = "{}"
+        items = [_quote(k) + ": " + _json(v, inner)
+                 for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        ends = "[]"
+        items = [_json(v, inner) for v in value]
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
 def _die(problems):
@@ -116,7 +150,7 @@ def _load_problem(path, need_action):
 
 
 def _group_json(g):
-    return {"rank": g.free_rank, "torsion": list(g.torsion)}
+    return {"rank": g.free_rank, "torsion": g.torsion}
 
 
 def cmd_homology(problem, coeff, fmt, max_degree):
@@ -124,11 +158,11 @@ def cmd_homology(problem, coeff, fmt, max_degree):
     _, m = _load_problem(problem, need_action=True)
     groups = chains.homology(m, chains.SYSTEMS[coeff], max_degree)
     if fmt == "json":
-        _echo(json.dumps({
+        _echo(_json({
             "coefficients": coeff,
             "homology": [{"degree": n, **_group_json(g)}
                          for n, g in enumerate(groups)],
-        }, indent=2))
+        }))
     else:
         _echo(f"coefficients: {coeff}")
         for n, g in enumerate(groups):
@@ -148,12 +182,12 @@ def cmd_schema(source, flagify, fmt):
     counts = clique_counts(alpha)
     reduced = clique_complex(alpha).reduced_homology()
     if fmt == "json":
-        _echo(json.dumps({
-            "generators": list(alpha.generators),
+        _echo(_json({
+            "generators": alpha.generators,
             "clique_counts": counts,
             "reduced_homology": [{"degree": n, **_group_json(g)}
                                  for n, g in enumerate(reduced)],
-        }, indent=2))
+        }))
         return
     _echo(f"p = {counts}")
     if not reduced:
@@ -184,7 +218,7 @@ def cmd_verify(problem, which, fmt, max_degree):
         else:
             reports.append(verify.check_theorem_main(m, max_degree))
     if fmt == "json":
-        _echo(json.dumps({"checks": [{
+        _echo(_json({"checks": [{
             "claim": r.claim,
             "status": r.status,
             "note": r.note,
@@ -192,7 +226,7 @@ def cmd_verify(problem, which, fmt, max_degree):
                          "lhs": _group_json(c.lhs),
                          "rhs": _group_json(c.rhs),
                          "equal": c.ok} for c in r.comparisons],
-        } for r in reports]}, indent=2))
+        } for r in reports]}))
     else:
         for r in reports:
             if not r.applicable:
@@ -219,9 +253,9 @@ def cmd_iso(left, right, fmt):
     searched = bijection_count(m_l) if \
         len(m_l.elements) == len(m_r.elements) else 0
     if fmt == "json":
-        _echo(json.dumps({"isomorphic": witness is not None,
-                          "witness": witness,
-                          "bijections_searched": searched}, indent=2))
+        _echo(_json({"isomorphic": witness is not None,
+                     "witness": witness,
+                     "bijections_searched": searched}))
     elif witness is None:
         _echo(f"NOT ISOMORPHIC (searched {searched} "
               "basepoint-preserving bijections)")
@@ -239,7 +273,7 @@ def cmd_counterexample(problem, fmt, max_degree):
     alpha, _ = _load_problem(problem, need_action=False)
     report = verify.counterexample_report(alpha, max_degree)
     if fmt == "json":
-        _echo(json.dumps({
+        _echo(_json({
             "isomorphic": report.isomorphic,
             "witness": report.witness,
             "bijections_searched": report.bijections_searched,
@@ -250,7 +284,7 @@ def cmd_counterexample(problem, fmt, max_degree):
                                "fan": _group_json(c.rhs),
                                "equal": c.ok} for c in table]
                        for name, table in report.tables.items()},
-        }, indent=2))
+        }))
         return
     _echo(f"alphabet: {len(alpha.generators)} generators, "
           f"{len(alpha.pairs)} independence pairs")

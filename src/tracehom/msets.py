@@ -28,13 +28,15 @@ class PointedMSet:
     and violated commutation square.  The validated table is held as
     one ``{generator: target}`` dict per carrier point, in carrier
     order; the commutation squares and the chain complex's image table
-    read it row by row.  Its homology is kept on the
-    alphabet, not on the action: ``chains.homology`` keeps one entry per
-    distinct image table, so actions that give the same complex share
-    it.
+    read it row by row.  The image table is kept on the action, one per
+    coefficient system, in ``_images`` (filled by ``chains._image_table``
+    on first use; the action never changes after validation).  Its
+    homology is kept on the alphabet, not on the action:
+    ``chains.homology`` keeps one entry per distinct image table, so
+    actions that give the same complex share it.
     """
 
-    __slots__ = ("alphabet", "elements", "_rows")
+    __slots__ = ("alphabet", "elements", "_rows", "_images")
 
     def __init__(self, alphabet, elements, action):
         problems = []
@@ -96,6 +98,7 @@ class PointedMSet:
         self.alphabet = alphabet
         self.elements = elems
         self._rows = rows
+        self._images = {}
 
     @property
     def carrier(self):

@@ -24,11 +24,11 @@ class SimplicialComplex:
     ``simplices[k]`` lists the dimension-k simplices as tuples sorted by
     vertex order.  Construction first validates every level (each
     simplex has k + 1 vertices of the complex, in strictly increasing
-    vertex order) and then checks closure under taking faces, level by
-    level.  That check looks each facet up once and keeps the result:
-    for each k-simplex with k >= 1, the row indices of its facets in
-    level k - 1, in ``combinations`` order (the last vertex dropped
-    first).  The boundaries are filled from that table.
+    vertex order, and no simplex listed twice) and then checks closure
+    under taking faces, level by level.  That check looks each facet up
+    once and keeps the result: for each k-simplex with k >= 1, the row
+    indices of its facets in level k - 1, in ``combinations`` order (the
+    last vertex dropped first).  The boundaries are filled from that table.
     """
 
     __slots__ = ("vertices", "simplices", "_facets")
@@ -52,8 +52,12 @@ class SimplicialComplex:
                         [f"simplex {simplex!r} is not a sorted vertex tuple"])
                 keyed.append((idx, simplex))
             # distinct simplices have distinct idx, so no two vertices
-            # are ever compared
+            # are ever ordered; copies of one simplex end up side by side
             keyed.sort()
+            for (idx, simplex), (after, _) in zip(keyed, keyed[1:]):
+                if idx == after:
+                    raise ValidationError(
+                        [f"simplex {simplex!r} is listed twice"])
             levels.append([simplex for _, simplex in keyed])
         self.simplices = levels
         # _facets[k - 1][c]: the rows in level k - 1 of the facets of

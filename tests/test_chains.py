@@ -23,6 +23,7 @@ from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
 from tracehom.msets import (BASEPOINT, PointedMSet, chain_mset, fan_mset,
                             full_action_from_successor, x0_mset)
 from tracehom.simplicial import barycentric_flagification, clique_complex
+from tracehom.verify import check_lemma_split
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -37,6 +38,13 @@ ZERO = AbelianGroup(0)
 
 def one_point(alpha):
     return PointedMSet(alpha, [], {})
+
+
+def load_action(name):
+    doc = json.loads((PROBLEMS / name).read_text())
+    return PointedMSet(IndependenceAlphabet(doc["generators"],
+                                            doc["independence"]),
+                       doc["elements"], doc["action"])
 
 
 # --- coefficient systems -------------------------------------------------
@@ -189,10 +197,7 @@ def record_snf_calls(monkeypatch):
 def test_each_boundary_reduced_once_and_shrunk(monkeypatch):
     """One SNF per nonzero boundary, top down; each is handed over whole,
     with the unit pivot rows of the boundary above it to drop."""
-    doc = json.loads((PROBLEMS / "rp2_x0.json").read_text())
-    m = PointedMSet(IndependenceAlphabet(doc["generators"],
-                                         doc["independence"]),
-                    doc["elements"], doc["action"])
+    m = load_action("rp2_x0.json")
     cx = build_complex(m, DELTA)
     calls = record_snf_calls(monkeypatch)
     groups = homology(m, DELTA)
@@ -405,6 +410,30 @@ def test_equal_image_tables_share_one_kept_entry(monkeypatch):
     homology(chain, PUNCTURED)
     homology(fan, PUNCTURED)
     assert len(built) == len(alpha._homology) == 4
+
+
+def test_one_image_table_per_action_and_system(monkeypatch):
+    """The image table is kept on the action: homology, build_complex and
+    every boundary read the one built first, and a result read back
+    from the alphabet builds none.  A boundary read from the kept table
+    equals one from a fresh copy of the action, in every degree."""
+    m = load_action("rp2_x0.json")
+    built = []
+    basis_points = chains._basis_points
+
+    def counting(m, system):
+        built.append((m, system))
+        return basis_points(m, system)
+
+    monkeypatch.setattr(chains, "_basis_points", counting)
+    homology(m, DELTA)
+    check_lemma_split(m)
+    assert built == [(m, DELTA), (m, PUNCTURED)]
+    fresh = load_action("rp2_x0.json")
+    for system in SYSTEMS.values():
+        for n in range(1, max_clique_size(m.alphabet) + 2):
+            assert boundary_matrix(m, system, n) == \
+                boundary_matrix(fresh, system, n), (system, n)
 
 
 def test_bounded_complex_lists_no_higher_clique():

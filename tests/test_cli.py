@@ -5,6 +5,7 @@ import io
 import json
 import os
 import resource
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,11 +14,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracehom import alphabet, chains, verify
 from tracehom.chains import SYSTEMS, homology
 from tracehom.intlinalg import AbelianGroup
-from tracehom.cli import main
+from tracehom.cli import _json, main
 from tracehom.msets import PointedMSet
 from tracehom.alphabet import IndependenceAlphabet
 
@@ -736,3 +739,74 @@ def test_installed_console_script():
     done = subprocess.run([shutil.which("tracehom"), "--help"],
                           capture_output=True, text=True)
     assert_help_lists_subcommands(done)
+
+
+# --- JSON layout and the README's examples --------------------------------
+
+TEXT = st.text(st.characters(exclude_categories=()) |
+               st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\ud800\udfff'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT |
+    st.integers(2 ** 64, 2 ** 200) | st.integers(-2 ** 200, -2 ** 64),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) |
+    st.dictionaries(TEXT, inner),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0.5], {"a": float("nan")}, {1: 2}, {None: 0}, {"a": {1}}])
+def test_json_writer_rejects_what_json_dumps_would_print_differently(value):
+    """json.dumps prints floats and turns non-string keys into strings;
+    the writer raises instead, as it does on a set."""
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+JSON_CALLS = [
+    *[("homology", name, "--coeff", coeff)
+      for name in ACTION_FILES for coeff in sorted(SYSTEMS)],
+    *[(command, p.name) for p in sorted(PROBLEMS.glob("*.json"))
+      for command in ("schema", "verify", "counterexample")],
+    ("schema", "--flagify", "rp2_faces.txt"),
+    ("iso", "chain2_cycle4.json", "fan2_cycle4.json"),
+    ("iso", "x0_cycle4.json", "x0_cycle4.json"),
+]
+
+
+@pytest.mark.parametrize("args", JSON_CALLS, ids=" ".join)
+def test_json_output_is_laid_out_as_json_dumps(monkeypatch, args):
+    """--format json prints what json.dumps(..., indent=2) would."""
+    monkeypatch.chdir(PROBLEMS)
+    result = run(*args, "--format", "json")
+    assert result.exit_code in (0, 1), result.stderr
+    assert result.stdout == \
+        json.dumps(json.loads(result.stdout), indent=2) + "\n"
+
+
+def readme_command_lines():
+    """The argv of each `tracehom` line of the fenced block under
+    README.md's "## Command line"."""
+    section = (REPO / "README.md").read_text().split(
+        "\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("tracehom ")]
+
+
+def test_readme_command_line_examples_run(monkeypatch):
+    """Each example runs from the repository root; only the iso line
+    exits 1, as the chain and the fan are not isomorphic."""
+    monkeypatch.chdir(REPO)
+    lines = readme_command_lines()
+    assert {argv[0] for argv in lines} == \
+        {"homology", "schema", "verify", "iso", "counterexample"}
+    for argv in lines:
+        result = run(*argv)
+        assert result.exit_code == (1 if argv[0] == "iso" else 0), argv
+        assert result.stdout and not result.stderr, argv

@@ -585,6 +585,21 @@ def test_composition_check_is_not_fooled_by_carries():
             homology_of_pair(d_in, d_out)
 
 
+def test_composition_check_finds_a_nonzero_deep_in_a_long_column():
+    """The two columns of d_in cancel in every one of 300 rows but row
+    297, so d_in @ d_out is +1 there only, far from row 0; with -1 in
+    row 297 too, the pair composes to zero."""
+    plus = {(i, 0): 1 for i in range(300)}
+    minus = {(i, 1): -1 for i in range(300) if i != 297}
+    d_out = IntegerMatrix.from_rows([[1], [1]])
+    d_in = IntegerMatrix(300, 2, {**plus, **minus})
+    assert (d_in @ d_out).entries == {(297, 0): 1}
+    with pytest.raises(BoundaryCompositionError):
+        homology_of_complex([d_in, d_out])
+    d_in = IntegerMatrix(300, 2, {**plus, **minus, (297, 1): -1})
+    assert homology_of_complex([d_in, d_out]) == [AbelianGroup(0)]
+
+
 def test_complex_of_no_maps_or_one_has_no_groups():
     assert homology_of_complex([]) == []
     assert homology_of_complex([IntegerMatrix(2, 3, {(0, 0): 5})]) == []

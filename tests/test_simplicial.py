@@ -85,6 +85,20 @@ def test_duplicate_vertices_rejected():
     assert problems_of(["a", "a"], [[("a",)]]) == ("duplicate vertices",)
 
 
+def test_simplex_listed_twice_rejected():
+    """A repeated simplex would count twice: a one-point complex would
+    have reduced H_0 = Z, and one edge over a and b a false H_1 = Z.  It
+    is named after the level's other checks, so a level that also holds
+    a malformed simplex reports that one."""
+    assert problems_of(["a"], [[("a",), ("a",)]]) == \
+        ("simplex ('a',) is listed twice",)
+    edge_twice = [[("a",), ("b",)], [("a", "b"), ("a", "b")]]
+    assert problems_of(["a", "b"], edge_twice) == \
+        ("simplex ('a', 'b') is listed twice",)
+    assert problems_of(["a"], [[("a",), ("a",), ("z",)]]) == \
+        ("simplex ('z',) is not a sorted vertex tuple",)
+
+
 def test_missing_face_named_first_in_combinations_order():
     """(a, b, c) lacks the edges ac and bc; combinations lists ab, ac,
     bc, so ac is the one named."""
