@@ -14,7 +14,7 @@ class IndependenceAlphabet:
     """Generators in declaration order plus unordered independence pairs."""
 
     __slots__ = ("generators", "pairs", "_index", "_adjacent", "_cliques",
-                 "_faces", "_homology", "_x0", "_reduced")
+                 "_names", "_faces", "_homology", "_x0", "_reduced")
 
     def __init__(self, generators, independence=()):
         problems = []
@@ -59,12 +59,13 @@ class IndependenceAlphabet:
             adjacent[b].add(a)
             later[index[a]] |= 1 << index[b]
         self._adjacent = adjacent
-        # clique table: level k holds the k-cliques and, for each, the
-        # bitmask of later generators independent of all its members;
-        # the 1-cliques' masks are the later-neighbour masks themselves.
-        # Higher levels are added on demand by _level.
-        self._cliques = [([()], [(1 << len(gens)) - 1]),
-                         ([(g,) for g in gens], later)]
+        # clique table: level k holds, per k-clique in lexicographic
+        # order, the bitmask of later generators independent of all its
+        # members; the 1-cliques' masks are the later-neighbour masks
+        # themselves.  Higher levels are added on demand by _level, and
+        # the cliques as name tuples only when enumerate_cliques asks.
+        self._cliques = [[(1 << len(gens)) - 1], later]
+        self._names = [[()]]
         # kept like the clique table, filled on first use: the face table
         # of each degree and the homology of each distinct chain complex
         # (chains), the two-point reference action (msets.x0_mset) and
@@ -95,19 +96,17 @@ class IndependenceAlphabet:
                 f"{sorted(self.pairs)!r})")
 
 
-def _next_level(gens, later, cliques, masks):
-    """The (k+1)-cliques and their masks from the k-cliques: each clique
-    is extended by every bit of its mask, in ascending order, so the new
-    level is again in lexicographic order of member indices."""
-    out, out_masks = [], []
-    for K, mask in zip(cliques, masks):
+def _next_level(later, masks):
+    """The masks of the (k+1)-cliques from those of the k-cliques: each
+    clique is extended by every bit of its mask, in ascending order, so
+    the new level is again in lexicographic order of member indices."""
+    out = []
+    for mask in masks:
         while mask:
             low = mask & -mask
-            j = low.bit_length() - 1
             mask ^= low
-            out.append(K + (gens[j],))
-            out_masks.append(mask & later[j])
-    return out, out_masks
+            out.append(mask & later[low.bit_length() - 1])
+    return out
 
 
 def enumerate_cliques(alpha, k):
@@ -120,16 +119,28 @@ def enumerate_cliques(alpha, k):
     """
     if k < 0:
         raise ValueError(f"negative clique size {k}")
-    return list(_level(alpha, k))
+    names, gens = alpha._names, alpha.generators
+    while len(names) <= k and names[-1]:
+        # the children of each clique, in the order _next_level lists
+        # their masks
+        out = []
+        for K, mask in zip(names[-1], _level(alpha, len(names) - 1)):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                out.append(K + (gens[low.bit_length() - 1],))
+        names.append(out)
+    return list(names[k]) if k < len(names) else []
 
 
 def _level(alpha, k):
-    """The kept level of k-cliques (k >= 0), grown on demand.  It is not
-    a copy: callers read it and must not change it."""
+    """The kept masks of the k-cliques (k >= 0), grown on demand; one
+    per clique, so the level's length is its clique count.  It is not a
+    copy: callers read it and must not change it."""
     table = alpha._cliques
-    while len(table) <= k and table[-1][0]:
-        table.append(_next_level(alpha.generators, table[1][1], *table[-1]))
-    return table[k][0] if k < len(table) else ()
+    while len(table) <= k and table[-1]:
+        table.append(_next_level(table[1], table[-1]))
+    return table[k] if k < len(table) else ()
 
 
 def clique_counts(alpha, top=None):

@@ -31,7 +31,9 @@ The alphabet and the image table determine the whole complex, so
 ``homology`` keeps its groups on the alphabet under the image table.
 """
 
-from .alphabet import clique_counts, enumerate_cliques
+from itertools import accumulate
+
+from .alphabet import _level, clique_counts, enumerate_cliques
 from .intlinalg import IntegerMatrix, homology_of_complex
 from .msets import BASEPOINT as STAR
 
@@ -107,16 +109,41 @@ def _image_table(m, system):
 def _face_table(alpha, degree):
     """p_{n-1} and the face table of the n-cliques: per n-clique, (face
     index, generator position, sign) for s = 0 .. n-1, the sign being
-    (-1)^(s+1).  Built once per degree and kept on the alphabet."""
+    (-1)^(s+1).  Built once per degree and kept on the alphabet.
+
+    The n-cliques are the children (p, j) of the (n-1)-cliques p, one
+    per set bit j of p's mask, in ascending order, so the table of
+    degree n follows from that of degree n-1 by index arithmetic on the
+    clique masks: child (p, j) sits at start[p] + popcount(mask[p] &
+    (2^j - 1)), start[p] being the position of p's first child.  For
+    each face f of p, the face of (p, j) without the same generator is
+    the child (f, j), with that generator and sign; the last face is p
+    itself, without j, with the sign (-1)^n.  No clique is listed."""
     kept = alpha._faces.get(degree)
     if kept is None:
-        lower = enumerate_cliques(alpha, degree - 1)
-        position = {g: s for s, g in enumerate(alpha.generators)}
-        face_index = {K: f for f, K in enumerate(lower)}
-        faces = [[(face_index[K[:s] + K[s + 1:]], position[K[s]],
-                   1 if s % 2 else -1) for s in range(len(K))]
-                 for K in enumerate_cliques(alpha, degree)]
-        kept = alpha._faces[degree] = (len(lower), faces)
+        parents = _level(alpha, degree - 1)
+        faces = []
+        if any(parents):
+            if degree == 1:
+                # the empty clique has no faces and no level below it
+                below, grand = [[]], ()
+            else:
+                below = _face_table(alpha, degree - 1)[1]
+                grand = _level(alpha, degree - 2)
+            first = list(accumulate((mask.bit_count() for mask in grand),
+                                    initial=0))
+            sign = 1 if degree % 2 == 0 else -1
+            for p, (up, mask) in enumerate(zip(below, parents)):
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    j = low.bit_length() - 1
+                    low -= 1
+                    face = [(first[f] + (grand[f] & low).bit_count(), s, sg)
+                            for f, s, sg in up]
+                    face.append((p, j, sign))
+                    faces.append(face)
+        kept = alpha._faces[degree] = (len(parents), faces)
     return kept
 
 

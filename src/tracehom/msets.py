@@ -85,14 +85,20 @@ class PointedMSet:
                 else:
                     targets[e] = y
         if not problems:
-            for a, b in sorted(alphabet.pairs):
-                for x, row in rows.items():
+            # the squares in any order; the failures, if any, sorted by
+            # pair and then by carrier point
+            failures = []
+            pairs = alphabet.pairs
+            for k, (x, row) in enumerate(rows.items()):
+                for a, b in pairs:
                     lhs = rows[row[a]][b]
                     rhs = rows[row[b]][a]
                     if lhs != rhs:
-                        problems.append(
-                            f"commutation fails at {x!r}: "
-                            f"({x}.{a}).{b} = {lhs} but ({x}.{b}).{a} = {rhs}")
+                        failures.append((
+                            (a, b), k, f"commutation fails at {x!r}: "
+                            f"({x}.{a}).{b} = {lhs} but ({x}.{b}).{a} = {rhs}"))
+            failures.sort()
+            problems = [message for _, _, message in failures]
         if problems:
             raise ValidationError(problems)
         self.alphabet = alphabet

@@ -10,7 +10,8 @@ from helpers import (RP2_TRIANGLES, actions, alphabets, as_pairs,
                      assert_column_storage, change_one_entry,
                      composes_to_zero, pair_route_homology,
                      random_alphabet, random_mset, reference_boundary,
-                     relabel_elements, rename_generators, shuffle_generators)
+                     reference_face_table, relabel_elements,
+                     rename_generators, sd2_rp2, shuffle_generators)
 
 from tracehom import chains, intlinalg
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
@@ -434,6 +435,33 @@ def test_one_image_table_per_action_and_system(monkeypatch):
         for n in range(1, max_clique_size(m.alphabet) + 2):
             assert boundary_matrix(m, system, n) == \
                 boundary_matrix(fresh, system, n), (system, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_face_tables_from_masks_match_name_tuples(data):
+    """Asked for the degrees in any order, the face tables derived from
+    the clique masks equal the ones looked up by name, entry by entry,
+    up to one degree past the top.  The oracle lists its cliques on a
+    fresh copy of the alphabet, so it shares no kept level."""
+    alpha = data.draw(alphabets(max_size=10))
+    fresh = IndependenceAlphabet(alpha.generators, alpha.pairs)
+    degrees = data.draw(st.permutations(range(1, len(alpha.generators) + 3)))
+    for n in degrees:
+        assert chains._face_table(alpha, n) == \
+            reference_face_table(fresh, n), n
+
+
+def test_face_tables_from_masks_on_sd2_rp2():
+    alpha = sd2_rp2()
+    fresh = IndependenceAlphabet(alpha.generators, alpha.pairs)
+    for n in range(1, 6):
+        assert chains._face_table(alpha, n) == \
+            reference_face_table(fresh, n), n
+    # the homology path builds the tables without listing a clique
+    assert alpha._names == [[()]]
+    assert [len(faces) for _, faces in map(alpha._faces.get, range(1, 5))] \
+        == [181, 540, 360, 0]
 
 
 def test_bounded_complex_lists_no_higher_clique():

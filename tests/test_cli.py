@@ -350,21 +350,24 @@ def test_verify_bundled_corpus(name):
 
 def test_verify_lists_each_clique_level_once(monkeypatch):
     """All four checks share one clique table: every level of the
-    alphabet is grown once, however often the checks ask for it."""
+    alphabet's masks is grown once, however often the checks ask for
+    it."""
     grown = []
     next_level = alphabet._next_level
 
-    def counting(gens, later, cliques, masks):
-        grown.append((gens, len(cliques[0])))
-        return next_level(gens, later, cliques, masks)
+    def counting(later, masks):
+        grown.append((later, masks))
+        return next_level(later, masks)
 
     monkeypatch.setattr(alphabet, "_next_level", counting)
     result = run("verify", PROBLEMS / "rp2_x0.json")
     assert result.exit_code == 0, result.output
-    assert len({gens for gens, _ in grown}) == 1
-    # levels 0 and 1 come with the alphabet; level 3 is the top, and
-    # growing it finds level 4 empty
-    assert [level for _, level in grown] == [1, 2, 3]
+    assert len({id(later) for later, _ in grown}) == 1
+    assert len({id(masks) for _, masks in grown}) == len(grown)
+    # levels 0 and 1 come with the alphabet; levels 1, 2 and 3 (the top,
+    # clique counts 31, 90, 60) are grown from, the last into an empty
+    # level 4
+    assert [len(masks) for _, masks in grown] == [31, 90, 60]
 
 
 # --- iso ------------------------------------------------------------------

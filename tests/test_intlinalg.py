@@ -53,6 +53,19 @@ def test_zero_entries_dropped():
     assert m.entries == {(1, 1): 5}
 
 
+def test_non_integral_entries_rejected_not_truncated():
+    # int() would store 1, drop 0.4 as zero and parse '3'
+    for value in (1.5, 0.4, "3", 0.0, None):
+        with pytest.raises(TypeError,
+                           match=rf"entry \(0, 0\) = {value!r} is not"):
+            IntegerMatrix(1, 1, {(0, 0): value})
+    with pytest.raises(TypeError, match=r"entry \(0, 0\) = 0.5 is not"):
+        IntegerMatrix.from_rows([[0.5, 2]])
+    # what operator.index accepts is kept exactly
+    assert IntegerMatrix.from_rows([[True, 0], [0, 2 ** 70]]).to_rows() == \
+        [[1, 0], [0, 2 ** 70]]
+
+
 def test_matmul_known_product():
     a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
     b = IntegerMatrix.from_rows([[0, 1], [1, 0]])
@@ -322,6 +335,33 @@ def test_snf_without_unit_entries():
         assert result.rank == bareiss_rank(rows)
 
 
+def test_snf_free_pivots_cascade():
+    """Row i holds +-1 in column n-1-i and, below row 0, a 1 in column
+    n-i, the pivot column of the row above: a lower triangular chain
+    with its columns reversed.  Only row 0 starts with one entry, and
+    each free pivot leaves the next row with one.  Taken as free
+    pivots, the rows come in their own order; the sweep in column order
+    would begin with the last row."""
+    n = 12
+    entries = {(i, n - 1 - i): (-1) ** i for i in range(n)}
+    entries.update({(i, n - i): 1 for i in range(1, n)})
+    result = smith_normal_form(IntegerMatrix(n, n, entries))
+    assert result.invariant_factors == (1,) * n
+    assert result.pivot_rows == tuple(range(n))
+    assert result.leftover == (0, 0)
+
+
+def test_snf_singleton_non_unit_row_is_not_a_free_pivot():
+    # row 0 holds only a 2 (or -2); row 1 is the unit pivot of column 0,
+    # and the 2 comes out of the block the sweep leaves
+    for two in (2, -2):
+        m = IntegerMatrix.from_rows([[two, 0, 0], [1, 1, 0], [0, 0, 1]])
+        result = smith_normal_form(m)
+        assert result.invariant_factors == dense_snf(m) == (1, 1, 2)
+        assert result.pivot_rows == (2, 1)
+        assert result.leftover == (1, 1)
+
+
 def test_snf_reduces_a_large_block_without_unit_entries_sparse():
     """2 on the diagonal and 4 at (i, i+1 mod n) for every third i: 2
     times an upper unitriangular matrix, so every factor is 2.  With no
@@ -506,6 +546,17 @@ def test_group_rejects_bad_input():
         AbelianGroup(-1)
     with pytest.raises(ValueError):
         AbelianGroup(0, (0,))
+
+
+def test_group_rejects_non_integral_input():
+    # int() would make AbelianGroup(1.7, (2.9,)) the group Z + Z/2
+    with pytest.raises(TypeError, match="free rank 1.7 is not an integer"):
+        AbelianGroup(1.7, (2.9,))
+    with pytest.raises(TypeError, match="torsion factor 2.9 is not"):
+        AbelianGroup(1, (2.9,))
+    with pytest.raises(TypeError, match="free rank '3' is not"):
+        AbelianGroup("3")
+    assert AbelianGroup(True, (2,)) == AbelianGroup(1, (2,))
 
 
 def test_group_str():

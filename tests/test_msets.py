@@ -98,6 +98,30 @@ def test_commutation_violation_located():
         PointedMSet(alpha, ["x0", "x1", "x2", "x3"], action)
 
 
+def test_commutation_failures_keep_their_order():
+    """Every failed square is reported, sorted by the pair (as names,
+    each pair in declaration order) and then by carrier position, not
+    by name: here the pairs sort as (a, b) < (c, a) < (c, b) and the
+    points come as y, x, z."""
+    alpha = IndependenceAlphabet(["c", "a", "b"],
+                                 [("a", "c"), ("b", "c"), ("a", "b")])
+    action = {"y": {"c": "x", "a": "z", "b": "*"},
+              "x": {"c": "*", "a": "x", "b": "z"},
+              "z": {"c": "y", "a": "*", "b": "y"}}
+    with pytest.raises(ValidationError) as exc:
+        PointedMSet(alpha, ["y", "x", "z"], action)
+    assert list(exc.value.problems) == [
+        "commutation fails at 'y': (y.a).b = y but (y.b).a = *",
+        "commutation fails at 'x': (x.a).b = z but (x.b).a = *",
+        "commutation fails at 'z': (z.a).b = * but (z.b).a = z",
+        "commutation fails at 'y': (y.c).a = x but (y.a).c = y",
+        "commutation fails at 'z': (z.c).a = z but (z.a).c = *",
+        "commutation fails at 'y': (y.c).b = z but (y.b).c = *",
+        "commutation fails at 'x': (x.c).b = * but (x.b).c = y",
+        "commutation fails at 'z': (z.c).b = * but (z.b).c = x",
+    ]
+
+
 def test_commutation_not_checked_when_cells_missing():
     # the incomplete table is reported as such, not as a crash inside
     # the commutation scan
