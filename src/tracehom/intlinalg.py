@@ -6,15 +6,14 @@ form, and the homology of a chain complex.
 A matrix stores ``{col: {row: value}}`` with no empty column and no zero
 value, and each stage below reads that layout as it is: the product,
 the d o d check and the intake of the elimination.
-The complex is reduced once, top down (``homology_of_complex``): every
-adjacent pair of boundaries is checked to compose to zero, then each
+The complex is reduced once, top down (``homology_of_complex``): each
 boundary gets one Smith normal form, without the columns that the unit
-pivots of the boundary above it account for.  Everything here
-works over arbitrary-precision integers; entry growth during reduction
-is expected and must not overflow.
+pivots of the boundary above it account for, and the boundary below is
+checked to vanish on the columns that the elimination found to span
+the image.  Everything here works over arbitrary-precision integers;
+entry growth during reduction is expected and must not overflow.
 """
 
-from itertools import chain
 from math import gcd
 from operator import index
 
@@ -51,6 +50,8 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows, cols, entries=None):
+        rows = _integer(rows, "row count")
+        cols = _integer(cols, "column count")
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative dimensions {rows}x{cols}")
         self.rows = rows
@@ -58,6 +59,11 @@ class IntegerMatrix:
         columns = {}
         if entries:
             for (i, j), v in entries.items():
+                try:
+                    i, j = index(i), index(j)
+                except TypeError:
+                    raise TypeError(f"entry index ({i!r}, {j!r}) is not a "
+                                    "pair of integers") from None
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ShapeError(f"entry ({i}, {j}) outside {rows}x{cols}")
                 try:
@@ -147,14 +153,17 @@ class SNFResult(Record):
 
     The rank of the matrix is the number of factors.  ``smith_normal_form``
     also records what its unit sweep did: ``pivot_rows``, the rows of
-    the matrix it was given that hold its unit pivots, in pivot order,
-    and ``leftover``, the (rows, cols) shape of the block still nonzero
-    after the sweep.  Only the factors are compared and shown.
+    the matrix it was given that hold its unit pivots, in pivot order;
+    ``leftover``, the (rows, cols) shape of the block still nonzero
+    after the sweep; and ``span_cols``, the kept columns that span the
+    image: those of the unit pivots, then those still nonzero in the
+    leftover block.  Only the factors are compared and shown.
     """
 
-    __slots__ = ("invariant_factors", "pivot_rows", "leftover")
+    __slots__ = ("invariant_factors", "pivot_rows", "leftover", "span_cols")
 
-    def __init__(self, invariant_factors, pivot_rows=(), leftover=(0, 0)):
+    def __init__(self, invariant_factors, pivot_rows=(), leftover=(0, 0),
+                 span_cols=()):
         d = invariant_factors
         for k, v in enumerate(d):
             if v < 1:
@@ -162,7 +171,7 @@ class SNFResult(Record):
             if k and d[k] % d[k - 1]:
                 raise ValueError(f"broken divisibility chain {d}")
         self._set(invariant_factors=invariant_factors, pivot_rows=pivot_rows,
-                  leftover=leftover)
+                  leftover=leftover, span_cols=span_cols)
 
     def _fields(self):
         # the first slot alone, so the repr shows only it too
@@ -210,10 +219,10 @@ def smith_normal_form(m, drop_cols=()):
     The columns of ``m`` listed in ``drop_cols`` are left out: the result
     is that of ``m`` without them, and the shape that decides the
     orientation below is that of the kept columns.  A column to drop
-    outside the matrix raises ShapeError.  The stored columns that are
-    kept become the lines of the elimination: copies of them are the
-    rows of a tall matrix's transpose, and their row sets are the
-    column index of a wide one.
+    that is not an integer raises TypeError, one outside the matrix
+    ShapeError.  The stored columns that are kept become the lines of
+    the elimination: copies of them are the rows of a tall matrix's
+    transpose, and their row sets are the column index of a wide one.
 
     The elimination is sparse throughout.  A unit sweep comes first.  It
     takes the lines along the longer side of the matrix: the columns of
@@ -242,16 +251,23 @@ def smith_normal_form(m, drop_cols=()):
     pivot's column, then its row, modulo the pivot.  A pivot with
     nothing left beside it is an invariant factor up to sign; a
     remainder becomes a smaller pivot.  The result records the rows of
-    ``m`` that hold the unit pivots and the shape of the block the sweep
-    left.  The later pivots span no +-1 minor and are not recorded.
-    ``m`` is not modified.
+    ``m`` that hold the unit pivots, the shape of the block the sweep
+    left, and the kept columns that span the image of ``m``: every other
+    kept column was cleared, so it is a combination of pivot columns.
+    The later pivots span no +-1 minor and are not recorded.  ``m`` is
+    not modified.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     SNFResult(invariant_factors=(2, 4))
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]), [1])
     SNFResult(invariant_factors=(2,))
     """
-    drop = set(drop_cols)
+    try:
+        drop = set(map(index, drop_cols))
+    except TypeError:
+        for j in drop_cols:
+            _integer(j, "drop column")
+        raise
     if drop:
         low, high = min(drop), max(drop)
         if low < 0 or high >= m.cols:
@@ -285,7 +301,9 @@ def smith_normal_form(m, drop_cols=()):
                     rows[i] = {j: v}
                 else:
                     row[j] = v
-    pivots = []
+    # the row and the column of each unit pivot in the matrix that is
+    # eliminated; the rows of m^T are the columns of m
+    lines, crossings = [], []
     # free pivots: a row whose only entry is +-1 clears its column with
     # no arithmetic, and a row it leaves with one entry joins the next
     # batch
@@ -307,7 +325,8 @@ def smith_normal_form(m, drop_cols=()):
                 del other[j]
                 if len(other) == 1:
                     exposed.append(k)
-            pivots.append(j if flip else i)
+            lines.append(i)
+            crossings.append(j)
         batch = sorted(exposed)
     for j in sorted(cols):
         col = cols[j]
@@ -340,9 +359,15 @@ def smith_normal_form(m, drop_cols=()):
                     del row[k]
                     cols[k].discard(i)
         del cols[j]
-        pivots.append(j if flip else pivot)
+        lines.append(pivot)
+        crossings.append(j)
     rows = {i: row for i, row in rows.items() if row}
-    shape = (len(rows), sum(1 for col in cols.values() if col))
+    left = [j for j, col in cols.items() if col]
+    shape = (len(rows), len(left))
+    if flip:
+        pivot_rows, span_cols = tuple(crossings), (*lines, *rows)
+    else:
+        pivot_rows, span_cols = tuple(lines), (*crossings, *left)
     factors = []
     while rows:
         # the entry of least |value|, in the lowest row that holds one
@@ -375,8 +400,8 @@ def smith_normal_form(m, drop_cols=()):
         factors.append(abs(a))
         del rows[pivot], cols[j]
     return SNFResult(
-        (1,) * len(pivots) + tuple(_divisor_chain(factors)),
-        tuple(pivots), shape[::-1] if flip else shape)
+        (1,) * len(lines) + tuple(_divisor_chain(factors)),
+        pivot_rows, shape[::-1] if flip else shape, span_cols)
 
 
 def _integer(value, name):
@@ -456,50 +481,6 @@ class AbelianGroup:
         return f"AbelianGroup({self.free_rank}, {self.torsion!r})"
 
 
-def _largest(m):
-    """max |entry| of a nonzero matrix."""
-    return max(map(abs, chain.from_iterable(map(dict.values,
-                                                m.columns.values()))))
-
-
-def _composes_to_zero(d_in, d_out):
-    """Whether d_in @ d_out is the zero matrix, found without building
-    the product.
-
-    Column k of d_in is packed into one integer, entry i in a w-bit
-    field: packed[k] = sum of d_in[i, k] * 2^(w*i).  Column j of the
-    product is then sum over k of d_out[k, j] * packed[k], which equals
-    sum of P[i, j] * 2^(w*i) exactly, as Python integers do not wrap.
-    Every |P[i, j]| is at most max |d_in| times max |d_out| times the
-    number of entries in column j of d_out, which is at least max |d_in|
-    times the 1-norm of that column.  w is sized so that the largest
-    such bound is below 2^w, and then the sum is zero only if every
-    P[i, j] is (the lowest nonzero one would have to be a multiple of
-    2^w), so no carry between fields can fake a zero.  The check stops
-    at the first column whose sum is not zero.
-    """
-    if not (d_in.columns and d_out.columns):
-        return True
-    bound = _largest(d_in) * _largest(d_out) * \
-        max(map(len, d_out.columns.values()))
-    w = bound.bit_length()
-    packed = [0] * d_in.cols
-    for k, col in d_in.columns.items():
-        p = 0
-        for i, v in col.items():
-            p += v << w * i
-        packed[k] = p
-    for col in d_out.columns.values():
-        s = 0
-        for k, v in col.items():
-            p = packed[k]
-            if p:
-                s += v * p
-        if s:
-            return False
-    return True
-
-
 def homology_of_complex(boundaries):
     """Homology at C_0 .. C_top of the complex
 
@@ -507,11 +488,9 @@ def homology_of_complex(boundaries):
 
     where ``boundaries[n]`` is d_n, the map out of C_n, so it has one
     column per basis element of C_n; the first map may end in a nonzero
-    term (an augmentation), the last one may start at one.  Every
-    adjacent pair of maps is checked first, exactly but without building
-    the product (``_composes_to_zero``), and a pair that does not compose
-    to zero raises BoundaryCompositionError: this is where d o d = 0 is
-    checked, for the chains and the simplicial route alike.
+    term (an augmentation), the last one may start at one.  A pair of
+    maps whose shapes do not fit raises ShapeError before anything is
+    reduced.
 
     Then each map is reduced once, by ``smith_normal_form``, from the
     top down, and shrunk.  The unit pivots of d_n lie on rows P and
@@ -523,6 +502,21 @@ def homology_of_complex(boundaries):
     nothing.
     H_n has free rank dim C_n minus the ranks of d_n and d_n+1, and the
     nontrivial invariant factors of d_n+1 as its torsion.
+
+    This pass is also where d o d = 0 is checked, on both routes.  Once
+    d_n is reduced, d_n-1 @ d_n is summed one column at a time on the
+    columns S that span the image of d_n (``SNFResult.span_cols``), and
+    the first nonzero column raises BoundaryCompositionError, so the
+    highest failing pair is named.  That checks the whole pair:
+    - a kept column of d_n outside S was cleared by the sweep, so it is
+      a combination of the pivot columns;
+    - a dropped column of d_n is in the rows P of the unit pivots of
+      d_n+1, and once the step above has found d_n @ d_n+1 zero on
+      their columns J, it is -d_n[:, P^c] d_n+1[P^c, J] d_n+1[P, J]^-1,
+      a combination of kept columns;
+    - the top map drops nothing, so by induction every pair is checked.
+    S takes the columns still nonzero in the leftover block too:
+    [[0, 1]] @ [[1, 0], [0, 2]] is nonzero only through one of them.
 
     Each map is handed to the kernel whole, with the columns to drop
     named beside it, so that what a caller sees going in (its shape and
@@ -539,13 +533,25 @@ def homology_of_complex(boundaries):
             raise ShapeError(
                 f"dimension mismatch at C_{n - 1}: d_{n - 1} has "
                 f"{d_in.cols} columns, d_{n} has {d_out.rows} rows")
-        if not _composes_to_zero(d_in, d_out):
-            raise BoundaryCompositionError(f"d_{n - 1} o d_{n} is not zero")
     groups = []
     above = None
-    for d in reversed(boundaries):
+    for n in range(len(boundaries) - 1, -1, -1):
+        d = boundaries[n]
         drop = () if above is None else above.pivot_rows
         snf = smith_normal_form(d, drop) if d.columns else SNFResult(())
+        below = n and boundaries[n - 1].columns
+        if below:
+            for j in snf.span_cols:
+                # column j of d_n-1 @ d_n
+                acc = {}
+                for k, b in d.columns[j].items():
+                    col = below.get(k)
+                    if col:
+                        for i, a in col.items():
+                            acc[i] = acc.get(i, 0) + a * b
+                if any(acc.values()):
+                    raise BoundaryCompositionError(
+                        f"d_{n - 1} o d_{n} is not zero")
         if above is not None:
             groups.append(AbelianGroup(
                 d.cols - snf.rank - above.rank,

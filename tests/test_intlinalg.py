@@ -1,11 +1,12 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (as_pairs, assert_column_storage, bareiss_rank,
-                     change_one_entry, composes_to_zero, dense,
+                     change_one_entry, column_rank, composes_to_zero, dense,
                      dense_product, determinantal_factors,
                      diagonal_complexes, diagonalize, divisor_chain,
                      random_matrix, sd2_rp2)
@@ -64,6 +65,21 @@ def test_non_integral_entries_rejected_not_truncated():
     # what operator.index accepts is kept exactly
     assert IntegerMatrix.from_rows([[True, 0], [0, 2 ** 70]]).to_rows() == \
         [[1, 0], [0, 2 ** 70]]
+
+
+def test_non_integral_shape_or_index_rejected():
+    # a 1.5-row matrix once held an entry in row 1, reduced to (3,) and
+    # failed only in to_rows
+    with pytest.raises(TypeError, match="row count 1.5 is not an integer"):
+        IntegerMatrix(1.5, 2, {(1, 0): 3})
+    with pytest.raises(TypeError, match="column count '2' is not"):
+        IntegerMatrix(1, "2")
+    # an entry in row 0.5 of a 2x2 matrix once joined the elimination
+    with pytest.raises(TypeError, match=r"entry index \(0.5, 1\) is not"):
+        IntegerMatrix(2, 2, {(0.5, 1): 3, (1, 1): 1})
+    with pytest.raises(TypeError, match=r"entry index \(0, 1.0\) is not"):
+        IntegerMatrix(2, 2, {(0, 1.0): 3})
+    assert IntegerMatrix(True, 2, {(0, 1): 3}).to_rows() == [[0, 3]]
 
 
 def test_matmul_known_product():
@@ -261,12 +277,14 @@ def test_snf_result_validates_chain():
 
 
 def test_snf_result_compares_and_shows_only_the_factors():
-    recorded = SNFResult((1, 2), pivot_rows=(3,), leftover=(2, 1))
+    recorded = SNFResult((1, 2), pivot_rows=(3,), leftover=(2, 1),
+                         span_cols=(0, 4))
     assert recorded == SNFResult((1, 2))
     assert hash(recorded) == hash(SNFResult((1, 2)))
     assert recorded != SNFResult((1, 4), (3,), (2, 1))
     assert repr(recorded) == "SNFResult(invariant_factors=(1, 2))"
     assert (recorded.pivot_rows, recorded.leftover) == ((3,), (2, 1))
+    assert recorded.span_cols == (0, 4)
     with pytest.raises(AttributeError):
         recorded.invariant_factors = (1,)
     with pytest.raises(AttributeError):
@@ -275,15 +293,23 @@ def test_snf_result_compares_and_shows_only_the_factors():
 
 def test_snf_records_unit_pivots_and_leftover():
     # a unit pivot in row 1; the unit sweep leaves the 1x2 block [2, 4]
-    # in row 0, and the pivot 2 reduces it without joining pivot_rows
+    # in row 0, and the pivot 2 reduces it without joining pivot_rows;
+    # the image is spanned by the pivot's column 2 and the block's 0 and 1
     result = snf_of([[2, 4, 0], [0, 3, 1]])
     assert result.invariant_factors == (1, 2)
     assert (result.pivot_rows, result.leftover) == ((1,), (1, 2))
-    # tall: eliminated as its transpose, recorded in its own rows
+    assert result.span_cols == (2, 0, 1)
+    # tall: eliminated as its transpose, recorded in its own rows and
+    # columns; column 0 is nonzero only in rows the sweep leaves
     result = snf_of([[2, 0], [4, 3], [0, 1]])
     assert (result.pivot_rows, result.leftover) == ((2,), (2, 1))
+    assert result.span_cols == (1, 0)
+    # column 1 is cleared by the sweep: it is twice column 0
+    result = snf_of([[1, 2], [3, 6]])
+    assert (result.pivot_rows, result.span_cols) == ((0,), (0,))
     assert snf_of([[2, 4], [6, 8]]).pivot_rows == ()
     assert snf_of([[0, 0]]).leftover == (0, 0)
+    assert snf_of([[0, 0]]).span_cols == ()
 
 
 # --- sparse elimination against the dense oracle and the others ---------
@@ -446,6 +472,16 @@ def test_snf_rejects_dropped_columns_outside_the_shape():
     assert smith_normal_form(m, [1, 1]) == SNFResult((1,))
 
 
+def test_snf_rejects_non_integral_dropped_columns():
+    # 0.5 matches no column, so all of m was once reduced
+    m = IntegerMatrix.from_rows([[1, 0], [0, 2]])
+    with pytest.raises(TypeError, match="drop column 0.5 is not an integer"):
+        smith_normal_form(m, [0.5])
+    with pytest.raises(TypeError, match="drop column '1' is not"):
+        smith_normal_form(m, (0, "1"))
+    assert smith_normal_form(m, [True]) == SNFResult((1,))
+
+
 def transpose(m):
     return IntegerMatrix(m.cols, m.rows,
                          {(j, i): v for (i, j), v in m.entries.items()})
@@ -484,6 +520,20 @@ def test_snf_property_against_oracles(rows):
         [1] * len(pivots)
     assert result.rank - len(pivots) <= min(result.leftover)
     assert result.leftover[0] <= m.rows and result.leftover[1] <= m.cols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_matrices(), st.data())
+def test_span_cols_span_the_image_of_the_kept_columns(rows, data):
+    m = IntegerMatrix(len(rows), len(rows[0]) if rows else 0, {
+        (i, j): v for i, row in enumerate(rows)
+        for j, v in enumerate(row) if v})
+    drop = data.draw(st.sets(st.integers(0, m.cols - 1))) if m.cols else ()
+    kept = [j for j in m.columns if j not in drop]
+    span = smith_normal_form(m, drop).span_cols
+    assert len(set(span)) == len(span)
+    assert set(span) <= set(kept)
+    assert column_rank(rows, span) == column_rank(rows, kept)
 
 
 def test_snf_of_sd2_rp2_boundaries_both_ways():
@@ -610,12 +660,12 @@ def test_complex_with_a_changed_entry_is_checked_at_every_pair(case, data):
 
 
 def test_composition_check_is_not_fooled_by_carries():
-    """Nonzero products that a packed test with too narrow fields would
-    read as zero.  In 8-bit fields 256 in row 0 cancels -1 in row 1, and
-    2^64 = 2^(8*8) in row 0 cancels -1 in row 8.  Sizing the fields by
-    the largest entries alone (1 bit here) would let the entry 2, a sum
-    of two unit terms, cancel the -1 below it; sizing them without the
-    largest entry of d_out would let its 4 cancel the -1 below it."""
+    """Nonzero products whose entries would cancel if each column were
+    read as one integer in base 2^w with w too small: 256 above -1 in
+    base 2^8, 2^64 above -1 eight rows down, the sum 2 of two unit terms
+    above -1, a single entry 2^64 = 2^63 + 2^63, and 4 above -1.  The
+    check sums each column of the product entry by entry, so none of
+    them can cancel."""
     one = IntegerMatrix.from_rows([[1]])
     cases = [
         (IntegerMatrix.from_rows([[256], [-1]]), one),
@@ -649,6 +699,59 @@ def test_composition_check_finds_a_nonzero_deep_in_a_long_column():
         homology_of_complex([d_in, d_out])
     d_in = IntegerMatrix(300, 2, {**plus, **minus, (297, 1): -1})
     assert homology_of_complex([d_in, d_out]) == [AbelianGroup(0)]
+
+
+def test_composition_check_sees_the_leftover_columns():
+    """[[0, 1]] @ [[1, 0], [0, 2]] is nonzero only in column 1, which
+    has no unit entry and is left to the block after the unit sweep."""
+    d_out = IntegerMatrix.from_rows([[1, 0], [0, 2]])
+    assert smith_normal_form(d_out).span_cols == (0, 1)
+    with pytest.raises(BoundaryCompositionError, match="d_0 o d_1"):
+        homology_of_complex([IntegerMatrix.from_rows([[0, 1]]), d_out])
+
+
+def test_composition_check_sees_a_dropped_column():
+    """The filled triangle with its augmentation, with one entry of d_1
+    broken in the column that the reduction of d_2 drops from d_1: the
+    pair below never reads that column, so the pair above must."""
+    d_0 = IntegerMatrix.from_rows([[1, 1, 1]])
+    # edges ab, bc, ac over vertices a, b, c; the face abc
+    d_1 = [[-1, 0, -1], [1, -1, 0], [0, 1, 1]]
+    d_2 = IntegerMatrix.from_rows([[1], [1], [-1]])
+    assert homology_of_complex(
+        [d_0, IntegerMatrix.from_rows(d_1), d_2]) == [AbelianGroup(0)] * 2
+    dropped, = smith_normal_form(d_2).pivot_rows
+    d_1[2][dropped] += 1
+    broken = IntegerMatrix.from_rows(d_1)
+    with pytest.raises(BoundaryCompositionError, match="d_1 o d_2"):
+        homology_of_complex([d_0, broken, d_2])
+
+
+def test_composition_check_names_the_highest_failing_pair():
+    one = IntegerMatrix.from_rows([[1]])
+    with pytest.raises(BoundaryCompositionError,
+                       match=r"^d_1 o d_2 is not zero$"):
+        homology_of_complex([one, one, one])
+
+
+def test_composition_check_memory_is_linear():
+    """The cycle with 5,000 edges: d_1 is 5000x5000 and d_2 its one
+    fundamental cycle.  The check holds one column of the product at a
+    time; packing each column of d_1 into one integer, as an earlier
+    check did, peaked at about 21 MB."""
+    n = 5000
+    d_1 = IntegerMatrix(n, n, {**{(k, k): -1 for k in range(n)},
+                               **{((k + 1) % n, k): 1 for k in range(n)}})
+    d_2 = IntegerMatrix(n, 1, {(k, 0): 1 for k in range(n)})
+    tracemalloc.start()
+    try:
+        groups = homology_of_complex(
+            [IntegerMatrix(0, n), d_1, d_2, IntegerMatrix(1, 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert groups == [AbelianGroup(1), AbelianGroup(0), AbelianGroup(0)]
+    assert peak < 6_000_000, peak
 
 
 def test_complex_of_no_maps_or_one_has_no_groups():
