@@ -7,11 +7,11 @@ A matrix stores ``{col: {row: value}}`` with no empty column and no zero
 value, and each stage below reads that layout as it is: the product,
 the d o d check and the intake of the elimination.
 The complex is reduced once, top down (``homology_of_complex``): each
-boundary gets one Smith normal form, without the columns that the unit
-pivots of the boundary above it account for, and the boundary below is
-checked to vanish on the columns that the elimination found to span
-the image.  Everything here works over arbitrary-precision integers;
-entry growth during reduction is expected and must not overflow.
+boundary is first checked to compose to zero with the boundary below on
+every column that the unit pivots of the boundary above it do not
+account for, then gets one Smith normal form without those columns.
+Everything here works over arbitrary-precision integers; entry growth
+during reduction is expected and must not overflow.
 """
 
 from math import gcd
@@ -153,17 +153,14 @@ class SNFResult(Record):
 
     The rank of the matrix is the number of factors.  ``smith_normal_form``
     also records what its unit sweep did: ``pivot_rows``, the rows of
-    the matrix it was given that hold its unit pivots, in pivot order;
-    ``leftover``, the (rows, cols) shape of the block still nonzero
-    after the sweep; and ``span_cols``, the kept columns that span the
-    image: those of the unit pivots, then those still nonzero in the
-    leftover block.  Only the factors are compared and shown.
+    the matrix it was given that hold its unit pivots, in pivot order,
+    and ``leftover``, the (rows, cols) shape of the block still nonzero
+    after the sweep.  Only the factors are compared and shown.
     """
 
-    __slots__ = ("invariant_factors", "pivot_rows", "leftover", "span_cols")
+    __slots__ = ("invariant_factors", "pivot_rows", "leftover")
 
-    def __init__(self, invariant_factors, pivot_rows=(), leftover=(0, 0),
-                 span_cols=()):
+    def __init__(self, invariant_factors, pivot_rows=(), leftover=(0, 0)):
         d = invariant_factors
         for k, v in enumerate(d):
             if v < 1:
@@ -171,7 +168,7 @@ class SNFResult(Record):
             if k and d[k] % d[k - 1]:
                 raise ValueError(f"broken divisibility chain {d}")
         self._set(invariant_factors=invariant_factors, pivot_rows=pivot_rows,
-                  leftover=leftover, span_cols=span_cols)
+                  leftover=leftover)
 
     def _fields(self):
         # the first slot alone, so the repr shows only it too
@@ -251,11 +248,9 @@ def smith_normal_form(m, drop_cols=()):
     pivot's column, then its row, modulo the pivot.  A pivot with
     nothing left beside it is an invariant factor up to sign; a
     remainder becomes a smaller pivot.  The result records the rows of
-    ``m`` that hold the unit pivots, the shape of the block the sweep
-    left, and the kept columns that span the image of ``m``: every other
-    kept column was cleared, so it is a combination of pivot columns.
-    The later pivots span no +-1 minor and are not recorded.  ``m`` is
-    not modified.
+    ``m`` that hold the unit pivots and the shape of the block the sweep
+    left.  The later pivots span no +-1 minor and are not recorded.
+    ``m`` is not modified.
 
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     SNFResult(invariant_factors=(2, 4))
@@ -301,9 +296,9 @@ def smith_normal_form(m, drop_cols=()):
                     rows[i] = {j: v}
                 else:
                     row[j] = v
-    # the row and the column of each unit pivot in the matrix that is
-    # eliminated; the rows of m^T are the columns of m
-    lines, crossings = [], []
+    # the row of m that holds each unit pivot: the column of the pivot
+    # in m^T, its row in m
+    pivots = []
     # free pivots: a row whose only entry is +-1 clears its column with
     # no arithmetic, and a row it leaves with one entry joins the next
     # batch
@@ -325,8 +320,7 @@ def smith_normal_form(m, drop_cols=()):
                 del other[j]
                 if len(other) == 1:
                     exposed.append(k)
-            lines.append(i)
-            crossings.append(j)
+            pivots.append(j if flip else i)
         batch = sorted(exposed)
     for j in sorted(cols):
         col = cols[j]
@@ -342,32 +336,15 @@ def smith_normal_form(m, drop_cols=()):
         prow = rows.pop(pivot)
         sign = prow.pop(j)
         col.discard(pivot)
-        pairs = prow.items()
         for k in prow:
             cols[k].discard(pivot)
         for i in col:
-            # row_i -= f * prow, f the multiple that zeroes entry (i, j)
-            row = rows[i]
-            f = row.pop(j) * sign
-            for k, v in pairs:
-                w = row.get(k, 0) - f * v
-                if w:
-                    if k not in row:
-                        cols[k].add(i)
-                    row[k] = w
-                else:
-                    del row[k]
-                    cols[k].discard(i)
+            # the multiple of prow that zeroes entry (i, j)
+            _subtract(rows, cols, i, rows[i].pop(j) * sign, prow)
         del cols[j]
-        lines.append(pivot)
-        crossings.append(j)
+        pivots.append(j if flip else pivot)
     rows = {i: row for i, row in rows.items() if row}
-    left = [j for j, col in cols.items() if col]
-    shape = (len(rows), len(left))
-    if flip:
-        pivot_rows, span_cols = tuple(crossings), (*lines, *rows)
-    else:
-        pivot_rows, span_cols = tuple(lines), (*crossings, *left)
+    shape = (len(rows), sum(1 for col in cols.values() if col))
     factors = []
     while rows:
         # the entry of least |value|, in the lowest row that holds one
@@ -400,8 +377,8 @@ def smith_normal_form(m, drop_cols=()):
         factors.append(abs(a))
         del rows[pivot], cols[j]
     return SNFResult(
-        (1,) * len(lines) + tuple(_divisor_chain(factors)),
-        pivot_rows, shape[::-1] if flip else shape, span_cols)
+        (1,) * len(pivots) + tuple(_divisor_chain(factors)),
+        tuple(pivots), shape[::-1] if flip else shape)
 
 
 def _integer(value, name):
@@ -503,20 +480,19 @@ def homology_of_complex(boundaries):
     H_n has free rank dim C_n minus the ranks of d_n and d_n+1, and the
     nontrivial invariant factors of d_n+1 as its torsion.
 
-    This pass is also where d o d = 0 is checked, on both routes.  Once
-    d_n is reduced, d_n-1 @ d_n is summed one column at a time on the
-    columns S that span the image of d_n (``SNFResult.span_cols``), and
-    the first nonzero column raises BoundaryCompositionError, so the
-    highest failing pair is named.  That checks the whole pair:
-    - a kept column of d_n outside S was cleared by the sweep, so it is
-      a combination of the pivot columns;
-    - a dropped column of d_n is in the rows P of the unit pivots of
-      d_n+1, and once the step above has found d_n @ d_n+1 zero on
-      their columns J, it is -d_n[:, P^c] d_n+1[P^c, J] d_n+1[P, J]^-1,
-      a combination of kept columns;
+    This pass is also where d o d = 0 is checked, on both routes.
+    Before d_n is reduced, d_n-1 @ d_n is summed one column at a time on
+    every stored column of d_n that is kept (not in the rows P of the
+    unit pivots of d_n+1), and the first nonzero column raises
+    BoundaryCompositionError; so the highest failing pair is named, and
+    a failing pair raises before d_n or anything below it is reduced.
+    That checks the whole pair:
+    - every kept column of d_n is checked directly;
+    - a dropped column of d_n is in P, and the step above checked every
+      kept column of d_n+1, the columns J of its unit pivots among them,
+      so it is -d_n[:, P^c] d_n+1[P^c, J] d_n+1[P, J]^-1, an integer
+      combination of kept columns;
     - the top map drops nothing, so by induction every pair is checked.
-    S takes the columns still nonzero in the leftover block too:
-    [[0, 1]] @ [[1, 0], [0, 2]] is nonzero only through one of them.
 
     Each map is handed to the kernel whole, with the columns to drop
     named beside it, so that what a caller sees going in (its shape and
@@ -538,13 +514,15 @@ def homology_of_complex(boundaries):
     for n in range(len(boundaries) - 1, -1, -1):
         d = boundaries[n]
         drop = () if above is None else above.pivot_rows
-        snf = smith_normal_form(d, drop) if d.columns else SNFResult(())
         below = n and boundaries[n - 1].columns
         if below:
-            for j in snf.span_cols:
+            dropped = set(drop)
+            for j, dcol in d.columns.items():
+                if j in dropped:
+                    continue
                 # column j of d_n-1 @ d_n
                 acc = {}
-                for k, b in d.columns[j].items():
+                for k, b in dcol.items():
                     col = below.get(k)
                     if col:
                         for i, a in col.items():
@@ -552,6 +530,7 @@ def homology_of_complex(boundaries):
                 if any(acc.values()):
                     raise BoundaryCompositionError(
                         f"d_{n - 1} o d_{n} is not zero")
+        snf = smith_normal_form(d, drop) if d.columns else SNFResult(())
         if above is not None:
             groups.append(AbelianGroup(
                 d.cols - snf.rank - above.rank,

@@ -211,11 +211,23 @@ def barycentric_flagification(maximal_faces):
     The clique complex of the result is the barycentric subdivision of
     the input, so both carry the same reduced homology.  Generator names
     join the face's vertices with commas; generators are ordered by
-    (dimension, vertex order).
+    (dimension, vertex order).  A vertex name holding a comma can give
+    two faces the same name; every such pair is named in one
+    ``ValidationError``.
     """
     complex_ = SimplicialComplex.from_maximal_faces(maximal_faces)
     faces = list(chain.from_iterable(complex_.simplices))
-    names = {face: ",".join(face) for face in faces}
+    names, owner = {}, {}
+    problems = []
+    for face in faces:
+        name = names[face] = ",".join(face)
+        first = owner.setdefault(name, face)
+        if first != face:
+            problems.append(f"faces {first!r} and {face!r} both get the "
+                            f"generator name {name!r}: a vertex name must "
+                            "not contain ','")
+    if problems:
+        raise ValidationError(problems)
     pairs = []
     for i, small in enumerate(faces):
         small_set = set(small)

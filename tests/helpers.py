@@ -72,11 +72,6 @@ def bareiss_rank(rows):
     return _bareiss(rows)[0]
 
 
-def column_rank(rows, cols):
-    """Bareiss rank of the columns ``cols`` of a dense matrix."""
-    return bareiss_rank([[row[j] for j in cols] for row in rows])
-
-
 def rank_mod(rows, p):
     """Rank over the field of p elements, p prime."""
     m = [[v % p for v in r] for r in rows]

@@ -267,6 +267,26 @@ def test_schema_flagify_rejects_bad_face(tmp_path):
     assert "line 2" in result.stderr
 
 
+def test_schema_flagify_names_faces_whose_generator_names_collide(tmp_path):
+    """The vertex 'a,b' and the edge ab would both be the generator
+    'a,b': exit 2 naming both faces, not a duplicate generator the file
+    never wrote."""
+    path = write(tmp_path, "faces.txt", "a,b c\na b\n")
+    result = run("schema", path, "--flagify")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {path}: faces ('a,b',) and ('a', 'b') both get the "
+        "generator name 'a,b': a vertex name must not contain ','"]
+
+
+def test_schema_flagify_keeps_a_comma_name_that_does_not_collide(tmp_path):
+    path = write(tmp_path, "faces.txt", "a,b c d\n")
+    result = run("schema", path, "--flagify")
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[0] == "p = [1, 7, 12, 6]"
+
+
 def test_schema_flagify_rejects_a_hash_inside_a_face_line(tmp_path):
     """'a b c # tri' is no triangle with a comment, nor a 5-vertex face:
     exit 2, naming every bad line."""

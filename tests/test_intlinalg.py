@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (as_pairs, assert_column_storage, bareiss_rank,
-                     change_one_entry, column_rank, composes_to_zero, dense,
+                     change_one_entry, composes_to_zero, dense,
                      dense_product, determinantal_factors,
                      diagonal_complexes, diagonalize, divisor_chain,
                      random_matrix, sd2_rp2)
@@ -277,14 +277,12 @@ def test_snf_result_validates_chain():
 
 
 def test_snf_result_compares_and_shows_only_the_factors():
-    recorded = SNFResult((1, 2), pivot_rows=(3,), leftover=(2, 1),
-                         span_cols=(0, 4))
+    recorded = SNFResult((1, 2), pivot_rows=(3,), leftover=(2, 1))
     assert recorded == SNFResult((1, 2))
     assert hash(recorded) == hash(SNFResult((1, 2)))
     assert recorded != SNFResult((1, 4), (3,), (2, 1))
     assert repr(recorded) == "SNFResult(invariant_factors=(1, 2))"
     assert (recorded.pivot_rows, recorded.leftover) == ((3,), (2, 1))
-    assert recorded.span_cols == (0, 4)
     with pytest.raises(AttributeError):
         recorded.invariant_factors = (1,)
     with pytest.raises(AttributeError):
@@ -293,23 +291,19 @@ def test_snf_result_compares_and_shows_only_the_factors():
 
 def test_snf_records_unit_pivots_and_leftover():
     # a unit pivot in row 1; the unit sweep leaves the 1x2 block [2, 4]
-    # in row 0, and the pivot 2 reduces it without joining pivot_rows;
-    # the image is spanned by the pivot's column 2 and the block's 0 and 1
+    # in row 0, and the pivot 2 reduces it without joining pivot_rows
     result = snf_of([[2, 4, 0], [0, 3, 1]])
     assert result.invariant_factors == (1, 2)
     assert (result.pivot_rows, result.leftover) == ((1,), (1, 2))
-    assert result.span_cols == (2, 0, 1)
     # tall: eliminated as its transpose, recorded in its own rows and
-    # columns; column 0 is nonzero only in rows the sweep leaves
+    # columns
     result = snf_of([[2, 0], [4, 3], [0, 1]])
     assert (result.pivot_rows, result.leftover) == ((2,), (2, 1))
-    assert result.span_cols == (1, 0)
     # column 1 is cleared by the sweep: it is twice column 0
     result = snf_of([[1, 2], [3, 6]])
-    assert (result.pivot_rows, result.span_cols) == ((0,), (0,))
+    assert result.pivot_rows == (0,)
     assert snf_of([[2, 4], [6, 8]]).pivot_rows == ()
     assert snf_of([[0, 0]]).leftover == (0, 0)
-    assert snf_of([[0, 0]]).span_cols == ()
 
 
 # --- sparse elimination against the dense oracle and the others ---------
@@ -522,20 +516,6 @@ def test_snf_property_against_oracles(rows):
     assert result.leftover[0] <= m.rows and result.leftover[1] <= m.cols
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(small_matrices(), st.data())
-def test_span_cols_span_the_image_of_the_kept_columns(rows, data):
-    m = IntegerMatrix(len(rows), len(rows[0]) if rows else 0, {
-        (i, j): v for i, row in enumerate(rows)
-        for j, v in enumerate(row) if v})
-    drop = data.draw(st.sets(st.integers(0, m.cols - 1))) if m.cols else ()
-    kept = [j for j in m.columns if j not in drop]
-    span = smith_normal_form(m, drop).span_cols
-    assert len(set(span)) == len(span)
-    assert set(span) <= set(kept)
-    assert column_rank(rows, span) == column_rank(rows, kept)
-
-
 def test_snf_of_sd2_rp2_boundaries_both_ways():
     """The real d_2 (905x2700) and d_3 (2700x1800) of sd2(RP2) under a
     fan of four points, and their transposes.  The factors are frozen
@@ -705,7 +685,6 @@ def test_composition_check_sees_the_leftover_columns():
     """[[0, 1]] @ [[1, 0], [0, 2]] is nonzero only in column 1, which
     has no unit entry and is left to the block after the unit sweep."""
     d_out = IntegerMatrix.from_rows([[1, 0], [0, 2]])
-    assert smith_normal_form(d_out).span_cols == (0, 1)
     with pytest.raises(BoundaryCompositionError, match="d_0 o d_1"):
         homology_of_complex([IntegerMatrix.from_rows([[0, 1]]), d_out])
 
@@ -725,6 +704,26 @@ def test_composition_check_sees_a_dropped_column():
     broken = IntegerMatrix.from_rows(d_1)
     with pytest.raises(BoundaryCompositionError, match="d_1 o d_2"):
         homology_of_complex([d_0, broken, d_2])
+
+
+def test_composition_check_runs_before_the_lower_map_is_reduced(
+        monkeypatch):
+    """d_0 = [[1, 2, 1]] breaks the pair below the filled triangle: the
+    check of d_0 o d_1 raises before d_1 is handed to the kernel."""
+    reduced = []
+    kernel = intlinalg.smith_normal_form
+
+    def logged(m, drop_cols=()):
+        reduced.append(m)
+        return kernel(m, drop_cols)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", logged)
+    d_0 = IntegerMatrix.from_rows([[1, 2, 1]])
+    d_1 = IntegerMatrix.from_rows([[-1, 0, -1], [1, -1, 0], [0, 1, 1]])
+    d_2 = IntegerMatrix.from_rows([[1], [1], [-1]])
+    with pytest.raises(BoundaryCompositionError, match="d_0 o d_1"):
+        homology_of_complex([d_0, d_1, d_2])
+    assert reduced == [d_2]
 
 
 def test_composition_check_names_the_highest_failing_pair():

@@ -352,6 +352,17 @@ def test_flagification_orders_faces_by_dimension():
     assert not alpha.independent("2", "1,3")
 
 
+def test_flagification_names_every_pair_of_faces_whose_names_collide():
+    with pytest.raises(ValidationError) as info:
+        barycentric_flagification([("a,b", "c"), ("a", "b"), ("a", "b,c")])
+    rule = "a vertex name must not contain ','"
+    assert info.value.problems == (
+        f"faces ('a,b',) and ('a', 'b') both get the generator name "
+        f"'a,b': {rule}",
+        f"faces ('a', 'b,c') and ('a,b', 'c') both get the generator name "
+        f"'a,b,c': {rule}")
+
+
 def test_flagification_projective_plane():
     alpha = barycentric_flagification(RP2_TRIANGLES)
     assert len(alpha.generators) == 31
