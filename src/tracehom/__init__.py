@@ -11,7 +11,7 @@ independence relation.
 
 from .alphabet import (IndependenceAlphabet, clique_counts,
                        enumerate_cliques, max_clique_size)
-from .chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS, ChainComplex,
+from .chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS,
                      CoefficientSystem, boundary_matrix, build_complex,
                      enumerate_basis, homology)
 from .errors import ValidationError
@@ -33,16 +33,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup", "BASEPOINT", "BASEPOINT_ONLY", "BoundaryCompositionError",
-    "ChainComplex", "CoefficientSystem", "ConditionsReport",
-    "CounterexampleReport", "DELTA", "DegreeComparison",
-    "IndependenceAlphabet", "IntegerMatrix", "KERNEL_NAME", "PUNCTURED",
-    "PointedMSet", "SNFResult", "SYSTEMS", "ShapeError", "SimplicialComplex",
-    "ValidationError", "VerificationReport", "barycentric_flagification",
-    "boundary_matrix", "build_complex", "chain_mset", "check_conditions",
-    "check_lemma_split", "check_prop_power", "check_theorem_aug",
-    "check_theorem_main", "clique_complex", "clique_counts",
-    "counterexample_report", "enumerate_basis", "enumerate_cliques",
-    "fan_mset", "full_action_from_successor", "homology",
-    "homology_of_complex", "homology_of_pair", "iso_check",
-    "max_clique_size", "read_face_list", "smith_normal_form", "x0_mset",
+    "CoefficientSystem", "ConditionsReport", "CounterexampleReport", "DELTA",
+    "DegreeComparison", "IndependenceAlphabet", "IntegerMatrix", "KERNEL_NAME",
+    "PUNCTURED", "PointedMSet", "SNFResult", "SYSTEMS", "ShapeError",
+    "SimplicialComplex", "ValidationError", "VerificationReport",
+    "barycentric_flagification", "boundary_matrix", "build_complex",
+    "chain_mset", "check_conditions", "check_lemma_split", "check_prop_power",
+    "check_theorem_aug", "check_theorem_main", "clique_complex",
+    "clique_counts", "counterexample_report", "enumerate_basis",
+    "enumerate_cliques", "fan_mset", "full_action_from_successor", "homology",
+    "homology_of_complex", "homology_of_pair", "iso_check", "max_clique_size",
+    "read_face_list", "smith_normal_form", "x0_mset",
 ]

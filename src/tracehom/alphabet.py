@@ -13,8 +13,8 @@ from .errors import ValidationError
 class IndependenceAlphabet:
     """Generators in declaration order plus unordered independence pairs."""
 
-    __slots__ = ("generators", "pairs", "_index", "_adjacent", "_cliques",
-                 "_names", "_faces", "_homology", "_x0", "_reduced")
+    __slots__ = ("generators", "pairs", "_index", "_cliques", "_names",
+                 "_faces", "_homology", "_x0", "_reduced")
 
     def __init__(self, generators, independence=()):
         problems = []
@@ -52,13 +52,9 @@ class IndependenceAlphabet:
         self.generators = gens
         self.pairs = frozenset(pairs)
         self._index = index
-        adjacent = {g: set() for g in gens}
         later = [0] * len(gens)
         for a, b in pairs:
-            adjacent[a].add(b)
-            adjacent[b].add(a)
             later[index[a]] |= 1 << index[b]
-        self._adjacent = adjacent
         # clique table: level k holds, per k-clique in lexicographic
         # order, the bitmask of later generators independent of all its
         # members; the 1-cliques' masks are the later-neighbour masks
@@ -82,8 +78,9 @@ class IndependenceAlphabet:
             raise ValueError(f"unknown generator {g!r}") from None
 
     def independent(self, a, b):
-        self.index(a), self.index(b)
-        return b in self._adjacent[a]
+        # bit j of the later-neighbour mask of i, for i <= j
+        i, j = sorted((self.index(a), self.index(b)))
+        return bool(self._cliques[1][i] >> j & 1)
 
     def __eq__(self, other):
         if not isinstance(other, IndependenceAlphabet):

@@ -27,13 +27,16 @@ point that every generator fixes adds nothing.  Only the public
 ``IntegerMatrix`` constructor validates entries; the builder's columns
 are handed over unchecked.
 
-The alphabet and the image table determine the whole complex, so
-``homology`` keeps its groups on the alphabet under the image table.
+``build_complex`` lists the boundaries d_0 .. d_top+1 that
+``homology_of_complex`` takes, and nothing else: the dimension of
+degree n is the column count of d_n.  The alphabet and the image table
+determine the whole complex, so ``homology`` keeps its groups on the
+alphabet under the image table.
 """
 
 from itertools import accumulate
 
-from .alphabet import _level, clique_counts, enumerate_cliques
+from .alphabet import _level, enumerate_cliques, max_clique_size
 from .intlinalg import IntegerMatrix, homology_of_complex
 from .msets import BASEPOINT as STAR
 
@@ -181,64 +184,23 @@ def boundary_matrix(m, system, degree):
                                     columns)
 
 
-class ChainComplex:
-    """Dimensions and boundary maps of degrees 0 .. top.
-
-    top is the largest clique size of the alphabet, above which every
-    degree is zero, unless the complex was built with a lower bound.
-    Boundary maps at the ends are zero maps of the right shape.
-    """
-
-    __slots__ = ("dims", "_boundaries")
-
-    def __init__(self, dims, boundaries):
-        self.dims = dims
-        self._boundaries = boundaries
-
-    @property
-    def top(self):
-        return len(self.dims) - 1
-
-    def dim(self, n):
-        if 0 <= n <= self.top:
-            return self.dims[n]
-        return 0
-
-    def boundary(self, n):
-        if 1 <= n <= self.top:
-            return self._boundaries[n - 1]
-        if n == 0:
-            return IntegerMatrix(0, self.dim(0))
-        return IntegerMatrix(self.dim(n - 1), 0)
-
-    def homology(self, top=None):
-        """Homology groups in degrees 0 .. top (default: the complex's
-        top), from one top-down reduction of the boundaries d_0 ..
-        d_top+1 (see ``homology_of_complex``).  A degree needs the
-        boundary out of the next one, so a complex built only up to a
-        bound is exact below it."""
-        if top is None:
-            top = self.top
-        return homology_of_complex([self.boundary(n)
-                                    for n in range(top + 2)])
-
-
 def build_complex(m, system, top=None):
-    """Assemble the dimensions and boundaries of degrees 0 .. top.
+    """The maps [d_0, d_1, ..., d_top+1] that homology in degrees 0 ..
+    top needs, as ``homology_of_complex`` takes them.
 
-    top defaults to the largest clique size; a lower one leaves every
-    clique above it unlisted.  Degree n has dimension (points of rank 1)
-    x (n-cliques); its basis is never listed.  That d o d = 0 is checked
-    where homology is taken, by ``homology_of_complex``.
+    d_0 is the zero map out of degree 0 and d_n is ``boundary_matrix``.
+    top defaults to the largest clique size w, where d_w+1 has no
+    columns.  A lower top leaves every clique above it unlisted, a
+    higher one adds zero maps, and a negative one gives [d_0] alone.
+    Degree n has dimension (points of rank 1) x (n-cliques), the column
+    count of d_n; its basis is never listed.  That d o d = 0 is checked
+    where homology is taken.
     """
-    counts = clique_counts(m.alphabet, top)
     if top is None:
-        top = len(counts) - 1
-    points = len(_image_table(m, system))
-    dims = [points * p for p in counts[:top + 1]] + \
-        [0] * (top + 1 - len(counts))
-    boundaries = [boundary_matrix(m, system, n) for n in range(1, top + 1)]
-    return ChainComplex(dims, boundaries)
+        top = max_clique_size(m.alphabet)
+    maps = [IntegerMatrix(0, len(_image_table(m, system)))]
+    maps.extend(boundary_matrix(m, system, n) for n in range(1, top + 2))
+    return maps
 
 
 def homology(m, system, max_degree=None):
@@ -256,7 +218,6 @@ def homology(m, system, max_degree=None):
     key = (_image_table(m, system), max_degree)
     groups = kept.get(key)
     if groups is None:
-        top = None if max_degree is None else max_degree + 1
-        groups = kept[key] = build_complex(m, system, top).homology(
-            max_degree)
+        groups = kept[key] = homology_of_complex(
+            build_complex(m, system, max_degree))
     return list(groups)

@@ -4,12 +4,13 @@ Sparse integer matrices held by column, Smith normal form by one sparse
 elimination, finitely generated abelian groups in invariant factor
 form, and the homology of a chain complex.
 A matrix stores ``{col: {row: value}}`` with no empty column and no zero
-value, and each stage below reads that layout as it is: the product,
-the d o d check and the intake of the elimination.
+value, and each stage below reads that layout as it is: the sparse
+product and the intake of the elimination.
 The complex is reduced once, top down (``homology_of_complex``): each
-boundary is first checked to compose to zero with the boundary below on
-every column that the unit pivots of the boundary above it do not
-account for, then gets one Smith normal form without those columns.
+boundary is first checked to compose to zero with the boundary below,
+by that product on every column that the unit pivots of the boundary
+above it do not account for, then gets one Smith normal form without
+those columns.
 Everything here works over arbitrary-precision integers; entry growth
 during reduction is expected and must not overflow.
 """
@@ -131,11 +132,12 @@ class IntegerMatrix:
         for j, ocol in other.columns.items():
             acc = {}
             for k, b in ocol.items():
-                for i, a in mine.get(k, {}).items():
-                    acc[i] = acc.get(i, 0) + a * b
-            col = {i: v for i, v in acc.items() if v}
-            if col:
-                columns[j] = col
+                col = mine.get(k)
+                if col:
+                    for i, a in col.items():
+                        acc[i] = acc.get(i, 0) + a * b
+            if any(acc.values()):
+                columns[j] = {i: v for i, v in acc.items() if v}
         return IntegerMatrix._unchecked(self.rows, other.cols, columns)
 
     def __eq__(self, other):
@@ -257,6 +259,7 @@ def smith_normal_form(m, drop_cols=()):
     >>> smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]), [1])
     SNFResult(invariant_factors=(2,))
     """
+    drop_cols = tuple(drop_cols)
     try:
         drop = set(map(index, drop_cols))
     except TypeError:
@@ -481,9 +484,9 @@ def homology_of_complex(boundaries):
     nontrivial invariant factors of d_n+1 as its torsion.
 
     This pass is also where d o d = 0 is checked, on both routes.
-    Before d_n is reduced, d_n-1 @ d_n is summed one column at a time on
-    every stored column of d_n that is kept (not in the rows P of the
-    unit pivots of d_n+1), and the first nonzero column raises
+    Before d_n is reduced, d_n-1 @ d_n is taken on the columns of d_n
+    that are kept (not in the rows P of the unit pivots of d_n+1), one
+    sparse column at a time, and a nonzero product raises
     BoundaryCompositionError; so the highest failing pair is named, and
     a failing pair raises before d_n or anything below it is reduced.
     That checks the whole pair:
@@ -514,22 +517,13 @@ def homology_of_complex(boundaries):
     for n in range(len(boundaries) - 1, -1, -1):
         d = boundaries[n]
         drop = () if above is None else above.pivot_rows
-        below = n and boundaries[n - 1].columns
-        if below:
+        if n and boundaries[n - 1].columns:
             dropped = set(drop)
-            for j, dcol in d.columns.items():
-                if j in dropped:
-                    continue
-                # column j of d_n-1 @ d_n
-                acc = {}
-                for k, b in dcol.items():
-                    col = below.get(k)
-                    if col:
-                        for i, a in col.items():
-                            acc[i] = acc.get(i, 0) + a * b
-                if any(acc.values()):
-                    raise BoundaryCompositionError(
-                        f"d_{n - 1} o d_{n} is not zero")
+            kept = IntegerMatrix._unchecked(d.rows, d.cols, {
+                j: col for j, col in d.columns.items() if j not in dropped})
+            if not (boundaries[n - 1] @ kept).is_zero():
+                raise BoundaryCompositionError(
+                    f"d_{n - 1} o d_{n} is not zero")
         snf = smith_normal_form(d, drop) if d.columns else SNFResult(())
         if above is not None:
             groups.append(AbelianGroup(

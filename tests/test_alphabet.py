@@ -33,6 +33,9 @@ def test_pairs_normalized_symmetric():
     assert alpha.pairs == frozenset({("a", "b")})
     assert alpha.independent("a", "b")
     assert alpha.independent("b", "a")
+    assert not alpha.independent("a", "a")
+    assert CYCLE4.independent("d", "a")
+    assert not CYCLE4.independent("c", "a")
 
 
 def test_reflexive_pair_rejected():

@@ -17,10 +17,11 @@ from tracehom import chains, intlinalg
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
                                max_clique_size)
 from tracehom.chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS,
-                             ChainComplex, boundary_matrix, build_complex,
-                             enumerate_basis, homology)
+                             boundary_matrix, build_complex, enumerate_basis,
+                             homology)
 from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
-                                IntegerMatrix, smith_normal_form)
+                                IntegerMatrix, homology_of_complex,
+                                smith_normal_form)
 from tracehom.msets import (BASEPOINT, PointedMSet, chain_mset, fan_mset,
                             full_action_from_successor, x0_mset)
 from tracehom.simplicial import barycentric_flagification, clique_complex
@@ -145,13 +146,22 @@ def test_boundary_needs_positive_degree():
 
 
 def test_complex_shapes_and_edges():
-    cx = build_complex(x0_mset(CYCLE4), DELTA)
-    assert cx.top == 2
-    assert [cx.dim(n) for n in range(4)] == [2, 8, 8, 0]
-    assert cx.boundary(0).rows == 0
-    assert cx.boundary(0).cols == 2
-    assert cx.boundary(3).rows == 8
-    assert cx.boundary(3).cols == 0
+    m = x0_mset(CYCLE4)
+    maps = build_complex(m, DELTA)
+    assert len(maps) - 2 == 2
+    assert [maps[n].cols for n in range(4)] == [2, 8, 8, 0]
+    assert maps[0].rows == 0
+    assert maps[0].cols == 2
+    assert maps[3].rows == 8
+    assert maps[3].cols == 0
+    # each map starts where the one below it ends
+    assert [d.rows for d in maps[1:]] == [d.cols for d in maps[:-1]]
+    # past the largest clique every map is zero; a negative top keeps d_0
+    high = build_complex(m, DELTA, top=5)
+    assert high[:4] == maps
+    assert [(d.rows, d.cols) for d in high[4:]] == [(0, 0)] * 3
+    assert build_complex(m, DELTA, top=-3) == [IntegerMatrix(0, 2)]
+    assert build_complex(m, DELTA, top=-1) == [IntegerMatrix(0, 2)]
 
 
 def test_boundaries_compose_to_zero():
@@ -159,26 +169,24 @@ def test_boundaries_compose_to_zero():
     for _ in range(15):
         m = random_mset(rng, random_alphabet(rng))
         for name, system in SYSTEMS.items():
-            cx = build_complex(m, system)
-            for n in range(1, cx.top + 1):
-                assert (cx.boundary(n) @ cx.boundary(n + 1)).is_zero(), \
-                    (name, n)
+            maps = build_complex(m, system)
+            for n in range(1, len(maps) - 1):
+                assert (maps[n] @ maps[n + 1]).is_zero(), (name, n)
 
 
 def test_homology_rejects_boundaries_that_do_not_compose():
     """d o d = 0 is checked where homology is taken, so a complex whose
     boundaries were assembled wrong fails there."""
     m = x0_mset(CYCLE4)
-    cx = build_complex(m, DELTA)
-    d1, d2 = cx.boundary(1), cx.boundary(2)
+    maps = build_complex(m, DELTA)
+    d1, d2 = maps[1], maps[2]
     # flip the sign of one entry of d_2 in a row where d_1 is nonzero
     i, j = next((i, j) for i, j in d2.entries
                 if any(k == i for _, k in d1.entries))
     broken = IntegerMatrix(d2.rows, d2.cols,
                            {**d2.entries, (i, j): -d2.entries[(i, j)]})
-    bad = ChainComplex(cx.dims, [d1, broken])
     with pytest.raises(BoundaryCompositionError):
-        bad.homology()
+        homology_of_complex([maps[0], d1, broken, maps[3]])
 
 
 def record_snf_calls(monkeypatch):
@@ -199,13 +207,13 @@ def test_each_boundary_reduced_once_and_shrunk(monkeypatch):
     """One SNF per nonzero boundary, top down; each is handed over whole,
     with the unit pivot rows of the boundary above it to drop."""
     m = load_action("rp2_x0.json")
-    cx = build_complex(m, DELTA)
+    maps = build_complex(m, DELTA)
     calls = record_snf_calls(monkeypatch)
     groups = homology(m, DELTA)
     assert [str(g) for g in groups] == ["Z", "Z^31", "Z^90 + Z/2", "Z^60"]
-    nonzero = [n for n in range(1, cx.top + 1) if not cx.boundary(n).is_zero()]
+    nonzero = [n for n in range(1, len(maps) - 1) if not maps[n].is_zero()]
     assert len(calls) == len(nonzero) == 3
-    assert [d for d, _, _ in calls] == [cx.boundary(n) for n in (3, 2, 1)]
+    assert [d for d, _, _ in calls] == [maps[n] for n in (3, 2, 1)]
     assert calls[0][1] == ()
     for (_, _, above), (below, drop, result) in zip(calls, calls[1:]):
         assert drop == above.pivot_rows
@@ -232,15 +240,14 @@ def test_reduction_matches_pair_route_oracle(data):
     alpha = data.draw(alphabets(max_size=5))
     m = data.draw(actions(alpha, max_elements=3))
     for system in SYSTEMS.values():
-        cx = build_complex(m, system)
-        top = data.draw(st.integers(-1, cx.top))
-        maps = [cx.boundary(n) for n in range(cx.top + 2)]
-        assert as_pairs(cx.homology(top)) == pair_route_homology(
-            maps[:top + 2])
+        maps = build_complex(m, system)
+        top = data.draw(st.integers(-1, len(maps) - 2))
+        assert as_pairs(homology_of_complex(maps[:top + 2])) == \
+            pair_route_homology(maps[:top + 2])
         changed = change_one_entry(data.draw, maps)
         if changed is not None and not composes_to_zero(changed[:top + 2]):
             with pytest.raises(BoundaryCompositionError):
-                ChainComplex(cx.dims, changed[1:-1]).homology(top)
+                homology_of_complex(changed[:top + 2])
 
 
 def test_reduction_matches_pair_route_oracle_with_dense_leftover():
@@ -250,9 +257,9 @@ def test_reduction_matches_pair_route_oracle_with_dense_leftover():
     alpha = barycentric_flagification(RP2_TRIANGLES)
     cases = [(x0_mset(alpha), system) for system in SYSTEMS.values()]
     for m, system in cases + [(fan_mset(alpha), PUNCTURED)]:
-        cx = build_complex(m, system)
-        maps = [cx.boundary(n) for n in range(cx.top + 2)]
-        assert as_pairs(cx.homology()) == pair_route_homology(maps)
+        maps = build_complex(m, system)
+        assert as_pairs(homology_of_complex(maps)) == \
+            pair_route_homology(maps)
 
 
 # --- homology ------------------------------------------------------------
@@ -309,10 +316,10 @@ def test_euler_characteristic_matches_homology(data):
     alpha = data.draw(alphabets(max_size=6))
     m = data.draw(actions(alpha))
     for system in SYSTEMS.values():
-        cx = build_complex(m, system)
-        chi_cells = sum((-1) ** n * cx.dim(n) for n in range(cx.top + 1))
+        maps = build_complex(m, system)
+        chi_cells = sum((-1) ** n * d.cols for n, d in enumerate(maps[:-1]))
         chi_ranks = sum((-1) ** n * g.free_rank
-                        for n, g in enumerate(cx.homology()))
+                        for n, g in enumerate(homology_of_complex(maps)))
         assert chi_cells == chi_ranks
 
 
@@ -379,9 +386,8 @@ def test_kept_homology_matches_a_fresh_computation(data):
     requests = [(m, system, bound) for m in ms for system in SYSTEMS.values()
                 for bound in (None, -2, -1, 0, 1, 2, 4)]
     for m, system, bound in data.draw(st.permutations(2 * requests)):
-        top = None if bound is None else bound + 1
         assert homology(m, system, bound) == \
-            build_complex(m, system, top).homology(bound)
+            homology_of_complex(build_complex(m, system, bound))
 
 
 def test_equal_image_tables_share_one_kept_entry(monkeypatch):
@@ -465,11 +471,15 @@ def test_face_tables_from_masks_on_sd2_rp2():
 
 
 def test_bounded_complex_lists_no_higher_clique():
+    """top=1 needs d_2, whose columns are the 2-cliques: the children of
+    the masks of levels 0 and 1.  No level above is grown, so no
+    3-clique is known."""
     gens = [f"e{k}" for k in range(6)]
     m = x0_mset(IndependenceAlphabet(gens, combinations(gens, 2)))
-    complex_ = build_complex(m, DELTA, top=2)
-    assert complex_.top == 2
-    assert len(m.alphabet._cliques) == 3
+    maps = build_complex(m, DELTA, top=1)
+    assert len(maps) - 2 == 1
+    assert len(m.alphabet._cliques) == 2
+    assert sorted(m.alphabet._faces) == [1, 2]
 
 
 def test_full_complete_alphabet_matches_binomials():

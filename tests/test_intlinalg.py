@@ -473,6 +473,9 @@ def test_snf_rejects_non_integral_dropped_columns():
         smith_normal_form(m, [0.5])
     with pytest.raises(TypeError, match="drop column '1' is not"):
         smith_normal_form(m, (0, "1"))
+    # a generator is read once
+    with pytest.raises(TypeError, match="drop column 0.5 is not an integer"):
+        smith_normal_form(m, (j for j in [0.5]))
     assert smith_normal_form(m, [True]) == SNFResult((1,))
 
 

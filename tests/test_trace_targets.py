@@ -23,8 +23,6 @@ RETIRED = {
     "intlinalg.pair",
     # the SNF kernel reads the sparse entries, with no dense copy
     "intlinalg.to_rows",
-    # d o d = 0 is checked without building the product
-    "intlinalg.matmul",
 }
 
 #: in-process command lines over problems/, with their exit codes
