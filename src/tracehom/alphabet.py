@@ -13,8 +13,8 @@ from .errors import ValidationError
 class IndependenceAlphabet:
     """Generators in declaration order plus unordered independence pairs."""
 
-    __slots__ = ("generators", "pairs", "_index", "_cliques", "_names",
-                 "_faces", "_homology", "_x0", "_reduced")
+    __slots__ = ("generators", "pairs", "_index", "_cliques", "_grown",
+                 "_names", "_faces", "_homology", "_x0", "_reduced")
 
     def __init__(self, generators, independence=()):
         problems = []
@@ -57,10 +57,12 @@ class IndependenceAlphabet:
             later[index[a]] |= 1 << index[b]
         # clique table: level k holds, per k-clique in lexicographic
         # order, the bitmask of later generators independent of all its
-        # members; the 1-cliques' masks are the later-neighbour masks
-        # themselves.  Higher levels are added on demand by _level, and
-        # the cliques as name tuples only when enumerate_cliques asks.
+        # members, and _grown beside it what _next_level recorded.  The
+        # 1-cliques' masks are the later-neighbour masks themselves.
+        # Higher levels are added on demand by _level, and the cliques
+        # as name tuples only when enumerate_cliques asks.
         self._cliques = [[(1 << len(gens)) - 1], later]
+        self._grown = [([], []), ([0] * len(gens), list(range(len(gens))))]
         self._names = [[()]]
         # kept like the clique table, filled on first use: the face table
         # of each degree and the homology of each distinct chain complex
@@ -96,14 +98,19 @@ class IndependenceAlphabet:
 def _next_level(later, masks):
     """The masks of the (k+1)-cliques from those of the k-cliques: each
     clique is extended by every bit of its mask, in ascending order, so
-    the new level is again in lexicographic order of member indices."""
-    out = []
-    for mask in masks:
+    the new level is again in lexicographic order of member indices.
+    Also the record of the new level: per clique, the position p of the
+    clique it extends and the generator j it adds, as two lists."""
+    out, parents, added = [], [], []
+    for p, mask in enumerate(masks):
         while mask:
             low = mask & -mask
             mask ^= low
-            out.append(mask & later[low.bit_length() - 1])
-    return out
+            j = low.bit_length() - 1
+            parents.append(p)
+            added.append(j)
+            out.append(mask & later[j])
+    return out, (parents, added)
 
 
 def enumerate_cliques(alpha, k):
@@ -118,15 +125,10 @@ def enumerate_cliques(alpha, k):
         raise ValueError(f"negative clique size {k}")
     names, gens = alpha._names, alpha.generators
     while len(names) <= k and names[-1]:
-        # the children of each clique, in the order _next_level lists
-        # their masks
-        out = []
-        for K, mask in zip(names[-1], _level(alpha, len(names) - 1)):
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                out.append(K + (gens[low.bit_length() - 1],))
-        names.append(out)
+        _level(alpha, len(names))
+        parents, added = alpha._grown[len(names)]
+        below = names[-1]
+        names.append([below[p] + (gens[j],) for p, j in zip(parents, added)])
     return list(names[k]) if k < len(names) else []
 
 
@@ -136,8 +138,19 @@ def _level(alpha, k):
     copy: callers read it and must not change it."""
     table = alpha._cliques
     while len(table) <= k and table[-1]:
-        table.append(_next_level(table[1], table[-1]))
+        masks, grown = _next_level(table[1], table[-1])
+        table.append(masks)
+        alpha._grown.append(grown)
     return table[k] if k < len(table) else ()
+
+
+def _growth(alpha, k):
+    """The record of level k (k >= 0), grown on demand: the kept lists
+    of each k-clique's parent p in level k-1 and added generator j, and
+    a dict from each (p, j) to the clique's position in level k."""
+    _level(alpha, k)
+    parents, added = alpha._grown[k] if k < len(alpha._grown) else ((), ())
+    return parents, added, dict(zip(zip(parents, added), range(len(parents))))
 
 
 def clique_counts(alpha, top=None):

@@ -34,9 +34,7 @@ determine the whole complex, so ``homology`` keeps its groups on the
 alphabet under the image table.
 """
 
-from itertools import accumulate
-
-from .alphabet import _level, enumerate_cliques, max_clique_size
+from .alphabet import _growth, _level, enumerate_cliques, max_clique_size
 from .intlinalg import IntegerMatrix, homology_of_complex
 from .msets import BASEPOINT as STAR
 
@@ -114,39 +112,24 @@ def _face_table(alpha, degree):
     index, generator position, sign) for s = 0 .. n-1, the sign being
     (-1)^(s+1).  Built once per degree and kept on the alphabet.
 
-    The n-cliques are the children (p, j) of the (n-1)-cliques p, one
-    per set bit j of p's mask, in ascending order, so the table of
-    degree n follows from that of degree n-1 by index arithmetic on the
-    clique masks: child (p, j) sits at start[p] + popcount(mask[p] &
-    (2^j - 1)), start[p] being the position of p's first child.  For
-    each face f of p, the face of (p, j) without the same generator is
-    the child (f, j), with that generator and sign; the last face is p
-    itself, without j, with the sign (-1)^n.  No clique is listed."""
+    Clique (p, j) of level n extends clique p of level n-1 by generator
+    j.  Its faces are the children (f, j) of the faces f of p, with the
+    generator and sign of f, and p itself, without j, with the sign
+    (-1)^n.  No clique is listed."""
     kept = alpha._faces.get(degree)
     if kept is None:
-        parents = _level(alpha, degree - 1)
+        parents, added, _ = _growth(alpha, degree)
         faces = []
-        if any(parents):
-            if degree == 1:
-                # the empty clique has no faces and no level below it
-                below, grand = [[]], ()
-            else:
-                below = _face_table(alpha, degree - 1)[1]
-                grand = _level(alpha, degree - 2)
-            first = list(accumulate((mask.bit_count() for mask in grand),
-                                    initial=0))
+        if parents:
+            # the empty clique has no faces
+            below = _face_table(alpha, degree - 1)[1] if degree > 1 \
+                else [[]]
+            child = _growth(alpha, degree - 1)[2]
             sign = 1 if degree % 2 == 0 else -1
-            for p, (up, mask) in enumerate(zip(below, parents)):
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    j = low.bit_length() - 1
-                    low -= 1
-                    face = [(first[f] + (grand[f] & low).bit_count(), s, sg)
-                            for f, s, sg in up]
-                    face.append((p, j, sign))
-                    faces.append(face)
-        kept = alpha._faces[degree] = (len(parents), faces)
+            faces = [[(child[f, j], s, sg) for f, s, sg in below[p]]
+                     + [(p, j, sign)] for p, j in zip(parents, added)]
+        kept = alpha._faces[degree] = (len(_level(alpha, degree - 1)),
+                                       faces)
     return kept
 
 

@@ -471,14 +471,17 @@ def test_face_tables_from_masks_on_sd2_rp2():
 
 
 def test_bounded_complex_lists_no_higher_clique():
-    """top=1 needs d_2, whose columns are the 2-cliques: the children of
-    the masks of levels 0 and 1.  No level above is grown, so no
-    3-clique is known."""
+    """top=1 needs d_2, whose columns are the 2-cliques: levels 0 to 2
+    are grown, with the growth record of level 2 for d_2's face table.
+    No level above is grown and no clique is named, so no 3-clique is
+    known."""
     gens = [f"e{k}" for k in range(6)]
     m = x0_mset(IndependenceAlphabet(gens, combinations(gens, 2)))
     maps = build_complex(m, DELTA, top=1)
     assert len(maps) - 2 == 1
-    assert len(m.alphabet._cliques) == 2
+    assert [len(level) for level in m.alphabet._cliques] == [1, 6, 15]
+    assert len(m.alphabet._grown) == 3
+    assert m.alphabet._names == [[()]]
     assert sorted(m.alphabet._faces) == [1, 2]
 
 
