@@ -5,9 +5,33 @@ irreflexive symmetric independence relation; independent generators
 commute in the monoid the alphabet presents.  Cliques of the relation
 (sets of pairwise independent generators) index everything downstream,
 and are always handled as tuples sorted by declaration order.
+
+The cliques are kept on the alphabet level by level, as bitmasks: each
+k-clique carries the mask of the later generators independent of all
+its members, and its children are the clique plus each bit of that
+mask, in ascending order, so every level is in lexicographic order of
+member indices.  ``_next_level`` is the one place that turns a mask
+into children.  As it grows a level it records, per new clique, the
+position of the clique it extends and the generator it adds; names and
+the face tables of ``chains`` are built from that record alone.  The size of a level
+is the number of set bits in the masks below it, so it is known before
+the level is grown, and a level of more than ``_SIZE_CAP`` cliques is
+refused with a ``ValidationError`` before anything is listed.
 """
 
 from .errors import ValidationError
+
+#: the most items one listing may hold: the cliques of one level, the
+#: basis of one degree of a chain complex (``chains``), the faces of one
+#: flagified face list (``simplicial``)
+_SIZE_CAP = 10 ** 6
+
+
+def _check_size(where, count, unit):
+    """Refuse a listing of count items before it is made, past the cap."""
+    if count > _SIZE_CAP:
+        raise ValidationError([f"too large: {where} would hold {count} "
+                               f"{unit}; the limit is {_SIZE_CAP}"])
 
 
 class IndependenceAlphabet:
@@ -135,9 +159,13 @@ def enumerate_cliques(alpha, k):
 def _level(alpha, k):
     """The kept masks of the k-cliques (k >= 0), grown on demand; one
     per clique, so the level's length is its clique count.  It is not a
-    copy: callers read it and must not change it."""
+    copy: callers read it and must not change it.  A level of more than
+    ``_SIZE_CAP`` cliques raises ``ValidationError`` before it is
+    grown."""
     table = alpha._cliques
     while len(table) <= k and table[-1]:
+        _check_size(f"clique level {len(table)}",
+                    sum(mask.bit_count() for mask in table[-1]), "cliques")
         masks, grown = _next_level(table[1], table[-1])
         table.append(masks)
         alpha._grown.append(grown)

@@ -13,28 +13,31 @@ basepoint-punctured, and the basepoint-only cases.
 
 Bases are element-major: with p_n the number of n-cliques, basis
 element (point k, clique c) of degree n sits at index k * p_n + c.  A
-boundary is assembled from a face table, built once per degree and
-kept on the alphabet: for each n-clique, the index of each face K
-minus e_s in level n-1, the generator e_s and the sign.  Rows and
-columns are then index arithmetic on the action's image table (each
-rank-1 point's images under the generators, as basis positions), which
-is built once per coefficient system and kept on the action.  The
-two terms of a face cancel when x.e_s = x and are left out, so a point
-that every generator fixes gives zero columns; no other two terms of a
-column share a row, so each entry is stored once, as +-1, into one
-row-keyed dict per column.  A column left empty is not stored, and a
-point that every generator fixes adds nothing.  Only the public
+boundary is assembled from a face table, built once per degree from
+the alphabet's growth record and kept on the alphabet: for each
+n-clique, the index of each face K minus e_s in level n-1, the
+generator e_s and the sign.  Rows and columns are then index
+arithmetic on the action's image table (each rank-1 point's images
+under the generators, as basis positions), which is built once per
+coefficient system and kept on the action.  The two terms of a face
+cancel when x.e_s = x and are left out; no other two terms of a column
+share a row, so each entry is stored once, as +-1, into one row-keyed
+dict per column.  A column left empty is not stored.  A boundary with
+no n-cliques, or with every rank-1 point fixed by every generator, is
+zero and is returned without a face table.  Only the public
 ``IntegerMatrix`` constructor validates entries; the builder's columns
 are handed over unchecked.
 
 ``build_complex`` lists the boundaries d_0 .. d_top+1 that
 ``homology_of_complex`` takes, and nothing else: the dimension of
-degree n is the column count of d_n.  The alphabet and the image table
-determine the whole complex, so ``homology`` keeps its groups on the
-alphabet under the image table.
+degree n is the column count of d_n, and a degree of more than
+``alphabet._SIZE_CAP`` basis elements is refused before any map is
+built.  The alphabet and the image table determine the whole complex,
+so ``homology`` keeps its groups on the alphabet under the image table.
 """
 
-from .alphabet import _growth, _level, enumerate_cliques, max_clique_size
+from .alphabet import (_check_size, _growth, _level, clique_counts,
+                       enumerate_cliques, max_clique_size)
 from .intlinalg import IntegerMatrix, homology_of_complex
 from .msets import BASEPOINT as STAR
 
@@ -139,10 +142,16 @@ def boundary_matrix(m, system, degree):
     module docstring)."""
     if degree < 1:
         raise ValueError(f"boundary needs degree >= 1, got {degree}")
-    p_lo, faces = _face_table(m.alphabet, degree)
-    p_up = len(faces)
+    alpha = m.alphabet
     images = _image_table(m, system)
-    fixed = (-1,) * len(m.alphabet.generators)
+    p_lo = len(_level(alpha, degree - 1))
+    p_up = len(_level(alpha, degree))
+    shape = len(images) * p_lo, len(images) * p_up
+    fixed = (-1,) * len(alpha.generators)
+    if not p_up or all(image == fixed for image in images):
+        # no columns, or every face's two terms cancel at every point
+        return IntegerMatrix._unchecked(*shape, {})
+    faces = _face_table(alpha, degree)[1]
     columns = {}
     for k, image in enumerate(images):
         if image == fixed:
@@ -163,8 +172,7 @@ def boundary_matrix(m, system, degree):
                 column[own + f] = -sign
             if column:
                 columns[col] = column
-    return IntegerMatrix._unchecked(len(images) * p_lo, len(images) * p_up,
-                                    columns)
+    return IntegerMatrix._unchecked(*shape, columns)
 
 
 def build_complex(m, system, top=None):
@@ -176,12 +184,18 @@ def build_complex(m, system, top=None):
     columns.  A lower top leaves every clique above it unlisted, a
     higher one adds zero maps, and a negative one gives [d_0] alone.
     Degree n has dimension (points of rank 1) x (n-cliques), the column
-    count of d_n; its basis is never listed.  That d o d = 0 is checked
-    where homology is taken.
+    count of d_n; its basis is never listed.  A degree of more than
+    ``alphabet._SIZE_CAP`` basis elements raises ``ValidationError``
+    before any map is built.  That d o d = 0 is checked where homology
+    is taken.
     """
     if top is None:
         top = max_clique_size(m.alphabet)
-    maps = [IntegerMatrix(0, len(_image_table(m, system)))]
+    points = len(_image_table(m, system))
+    for n, p in enumerate(clique_counts(m.alphabet, top + 1)):
+        _check_size(f"degree {n} of the chain complex", points * p,
+                    "basis elements")
+    maps = [IntegerMatrix(0, points)]
     maps.extend(boundary_matrix(m, system, n) for n in range(1, top + 2))
     return maps
 

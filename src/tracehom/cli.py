@@ -4,7 +4,8 @@ Problem files are JSON objects with keys "generators", "independence",
 and optionally "elements" and "action" (together).  The basepoint is
 spelled "*"; an omitted "*" row in the action table means fixity.
 Exit codes: 0 success, 1 a semantic check failed (a FAIL verdict or a
-negative isomorphism test), 2 a usage error or malformed input.
+negative isomorphism test), 2 a usage error, malformed input, or an
+input whose cliques or chain complex would be too large to list.
 """
 
 import argparse
@@ -353,7 +354,9 @@ def main(argv=None, standalone_mode=True):
     """Run the command line on argv (default: sys.argv[1:]).
 
     Returns on success and otherwise raises SystemExit with exit code 1
-    or 2 (see the module docstring).  standalone_mode is accepted and
+    or 2 (see the module docstring).  A ``ValidationError`` that a
+    command raises, such as an input too large to list, is printed as
+    ``error:`` lines and exits 2.  standalone_mode is accepted and
     ignored: the benchmark (``perfbench/worker.py``) passes
     ``standalone_mode=False``.
 
@@ -370,6 +373,8 @@ def main(argv=None, standalone_mode=True):
     gc.disable()
     try:
         args.pop("run")(**args)
+    except ValidationError as exc:
+        _die(exc.problems)
     finally:
         if enabled:
             gc.enable()

@@ -13,7 +13,7 @@ indices, here the one its closure check makes, and hands the columns to
 from itertools import chain, combinations
 from operator import lt
 
-from .alphabet import IndependenceAlphabet, enumerate_cliques
+from .alphabet import IndependenceAlphabet, _check_size, enumerate_cliques
 from .errors import ValidationError
 from .intlinalg import IntegerMatrix, homology_of_complex
 
@@ -213,8 +213,14 @@ def barycentric_flagification(maximal_faces):
     join the face's vertices with commas; generators are ordered by
     (dimension, vertex order).  A vertex name holding a comma can give
     two faces the same name; every such pair is named in one
-    ``ValidationError``.
+    ``ValidationError``.  So is a face list whose distinct faces have
+    more than ``alphabet._SIZE_CAP`` nonempty subfaces, a subface of
+    two of them counted twice, before any face is listed.
     """
+    maximal_faces = list(maximal_faces)
+    _check_size("the face list", sum(2 ** len(face) - 1 for face
+                                     in set(map(frozenset, maximal_faces))),
+                "faces")
     complex_ = SimplicialComplex.from_maximal_faces(maximal_faces)
     faces = list(chain.from_iterable(complex_.simplices))
     names, owner = {}, {}
@@ -228,10 +234,9 @@ def barycentric_flagification(maximal_faces):
                             "not contain ','")
     if problems:
         raise ValidationError(problems)
-    pairs = []
-    for i, small in enumerate(faces):
-        small_set = set(small)
-        for big in faces[i + 1:]:
-            if len(big) > len(small) and small_set.issubset(big):
-                pairs.append((names[small], names[big]))
+    # every proper subface of a face is a face of the complex, as the
+    # same sorted tuple
+    pairs = [(names[small], names[big]) for big in faces
+             for k in range(1, len(big))
+             for small in combinations(big, k)]
     return IndependenceAlphabet([names[f] for f in faces], pairs)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import alphabets, brute_force_cliques, random_alphabet
 
 from tracehom import ValidationError
-from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
+from tracehom.alphabet import (IndependenceAlphabet, _growth, clique_counts,
                                enumerate_cliques, max_clique_size)
 from tracehom.simplicial import barycentric_flagification, read_face_list
 
@@ -128,6 +128,26 @@ def test_clique_table_matches_brute_force_in_order(data):
     sizes = data.draw(st.permutations(range(len(alpha.generators) + 2)))
     for k in sizes:
         assert enumerate_cliques(alpha, k) == brute_force_cliques(alpha, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alphabets(max_size=10))
+def test_growth_record_rebuilds_each_clique(alpha):
+    """Level by level, the recorded parent and generator of each clique
+    rebuild it from the brute-force cliques one level down, the lookup
+    gives back each clique's position, and the named levels equal the
+    brute-force ones."""
+    gens = alpha.generators
+    below = [()]
+    for k in range(1, len(gens) + 2):
+        parents, added, position = _growth(alpha, k)
+        level = brute_force_cliques(alpha, k)
+        assert [below[p] + (gens[j],) for p, j in zip(parents, added)] == \
+            level
+        assert position == {pair: c for c, pair
+                            in enumerate(zip(parents, added))}
+        assert enumerate_cliques(alpha, k) == level
+        below = level
 
 
 def test_returned_cliques_are_a_fresh_list():

@@ -485,6 +485,35 @@ def test_bounded_complex_lists_no_higher_clique():
     assert sorted(m.alphabet._faces) == [1, 2]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_zero_boundaries_build_no_face_table(data):
+    """A boundary with no cliques above it, like the top map d_w+1, or
+    with every rank-1 point fixed, as under BASEPOINT_ONLY, gets no face
+    table.  The maps come out equal to the term-by-term reference and to
+    a fresh build on copies that share no kept table."""
+    alpha = data.draw(alphabets(max_size=8, min_size=1))
+    m = x0_mset(alpha)
+    w = max_clique_size(alpha)
+    homology(m, DELTA)
+    assert sorted(alpha._faces) == list(range(1, w + 1))
+
+    alpha = IndependenceAlphabet(alpha.generators, alpha.pairs)
+    m = data.draw(actions(alpha))
+    homology(m, BASEPOINT_ONLY)
+    assert alpha._faces == {}
+
+    fresh = IndependenceAlphabet(alpha.generators, alpha.pairs)
+    copy = PointedMSet(fresh, m.elements,
+                       {x: {e: m.act(x, e) for e in alpha.generators}
+                        for x in m.elements})
+    for system in SYSTEMS.values():
+        maps = build_complex(m, system)
+        assert maps == build_complex(copy, system), system
+        assert maps[1:] == [reference_boundary(m, system, n)
+                            for n in range(1, w + 2)], system
+
+
 def test_full_complete_alphabet_matches_binomials():
     gens = [f"e{k}" for k in range(4)]
     alpha = IndependenceAlphabet(gens, combinations(gens, 2))

@@ -176,6 +176,57 @@ def test_verify_and_counterexample_max_degree_bound_the_work(tmp_path):
     assert elapsed < 2.0
 
 
+def test_schema_flagify_of_a_long_face_stops_at_the_size_cap(tmp_path):
+    """One face of 10 vertices flagifies to 1,023 generators whose clique
+    levels hold 57,002, 874,500 and then 5,921,520 cliques, more than
+    the cap: exit 2 naming that level and its size, before it is
+    grown."""
+    path = write(tmp_path, "faces.txt", "a b c d e f g h i j\n")
+    start = time.perf_counter()
+    result = run_capped("schema", path, "--flagify")
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: too large: clique level 4 would hold 5921520 cliques; "
+        f"the limit is {alphabet._SIZE_CAP}"]
+    assert elapsed < 2.0
+
+
+def _size_cap_cases(tmp_path):
+    """(argv, the largest listing, its error) for each of the three size
+    checks: a clique level (levels [1, 4, 6, 4, 1]), a degree of the
+    chain complex (2 rank-1 points times 4 cliques in degree 1) and a
+    face list (a, b, ab and c; the repeated line counts once)."""
+    faces = write(tmp_path, "faces.txt", "a b\nc\nb a\n")
+    return [
+        (("schema", complete_alphabet_file(tmp_path, 4)), 6,
+         "error: too large: clique level 2 would hold 6 cliques"),
+        (("homology", PROBLEMS / "x0_cycle4.json"), 8,
+         "error: too large: degree 1 of the chain complex would hold 8 "
+         "basis elements"),
+        (("schema", faces, "--flagify"), 4,
+         f"error: {faces}: too large: the face list would hold 4 faces"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["level", "degree", "faces"])
+def test_size_cap_admits_its_limit_and_refuses_one_more(tmp_path,
+                                                        monkeypatch, case):
+    argv, count, error = _size_cap_cases(tmp_path)[case]
+    unbounded = run(*argv)
+    assert unbounded.exit_code == 0, unbounded.output
+    monkeypatch.setattr(alphabet, "_SIZE_CAP", count)
+    at_cap = run(*argv)
+    assert (at_cap.exit_code, at_cap.stdout, at_cap.stderr) == \
+        (0, unbounded.stdout, "")
+    monkeypatch.setattr(alphabet, "_SIZE_CAP", count - 1)
+    over = run(*argv)
+    assert over.exit_code == 2
+    assert over.stdout == ""
+    assert over.stderr.splitlines() == [f"{error}; the limit is {count - 1}"]
+
+
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_homology_negative_max_degree_reports_no_degrees(fmt):
     outputs = set()
