@@ -13,10 +13,16 @@ mask, in ascending order, so every level is in lexicographic order of
 member indices.  ``_next_level`` is the one place that turns a mask
 into children.  As it grows a level it records, per new clique, the
 position of the clique it extends and the generator it adds; names and
-the face tables of ``chains`` are built from that record alone.  The size of a level
-is the number of set bits in the masks below it, so it is known before
-the level is grown, and a level of more than ``_SIZE_CAP`` cliques is
-refused with a ``ValidationError`` before anything is listed.
+the face tables of ``chains`` are built from that record alone.  The
+size of a level is the number of set bits in the masks below it, so it
+is known before the level is grown, and a level of more than
+``_SIZE_CAP`` cliques is refused with a ``ValidationError`` before
+anything is listed.
+
+Every other term derived from an alphabet or an action is kept on it
+through ``_kept``, in one table per owner: a kind, named by the module
+that derives the term, and a key that module chooses.  No other module
+reads that kind.
 """
 
 from .errors import ValidationError
@@ -25,6 +31,15 @@ from .errors import ValidationError
 #: basis of one degree of a chain complex (``chains``), the faces of one
 #: flagified face list (``simplicial``)
 _SIZE_CAP = 10 ** 6
+
+
+def _kept(owner, kind, key, build, *args):
+    """The term of this kind kept on owner, an alphabet or an action,
+    under key: build(*args) on first use, the kept term after that."""
+    terms = owner._kept.setdefault(kind, {})
+    if key not in terms:
+        terms[key] = build(*args)
+    return terms[key]
 
 
 def _check_size(where, count, unit):
@@ -38,7 +53,7 @@ class IndependenceAlphabet:
     """Generators in declaration order plus unordered independence pairs."""
 
     __slots__ = ("generators", "pairs", "_index", "_cliques", "_grown",
-                 "_names", "_faces", "_homology", "_x0", "_reduced")
+                 "_names", "_kept")
 
     def __init__(self, generators, independence=()):
         problems = []
@@ -88,14 +103,7 @@ class IndependenceAlphabet:
         self._cliques = [[(1 << len(gens)) - 1], later]
         self._grown = [([], []), ([0] * len(gens), list(range(len(gens))))]
         self._names = [[()]]
-        # kept like the clique table, filled on first use: the face table
-        # of each degree and the homology of each distinct chain complex
-        # (chains), the two-point reference action (msets.x0_mset) and
-        # the clique complex's reduced homology per degree bound (verify)
-        self._faces = {}
-        self._homology = {}
-        self._x0 = None
-        self._reduced = {}
+        self._kept = {}
 
     def index(self, g):
         try:
@@ -149,8 +157,7 @@ def enumerate_cliques(alpha, k):
         raise ValueError(f"negative clique size {k}")
     names, gens = alpha._names, alpha.generators
     while len(names) <= k and names[-1]:
-        _level(alpha, len(names))
-        parents, added = alpha._grown[len(names)]
+        parents, added = _growth(alpha, len(names))
         below = names[-1]
         names.append([below[p] + (gens[j],) for p, j in zip(parents, added)])
     return list(names[k]) if k < len(names) else []
@@ -174,11 +181,17 @@ def _level(alpha, k):
 
 def _growth(alpha, k):
     """The record of level k (k >= 0), grown on demand: the kept lists
-    of each k-clique's parent p in level k-1 and added generator j, and
-    a dict from each (p, j) to the clique's position in level k."""
+    of each k-clique's parent p in level k-1 and added generator j."""
     _level(alpha, k)
-    parents, added = alpha._grown[k] if k < len(alpha._grown) else ((), ())
-    return parents, added, dict(zip(zip(parents, added), range(len(parents))))
+    return alpha._grown[k] if k < len(alpha._grown) else ((), ())
+
+
+def _position(alpha, k):
+    """A dict from the (p, j) of each k-clique to its position in level
+    k, built once per level and kept."""
+    parents, added = _growth(alpha, k)
+    return _kept(alpha, "position", k, dict,
+                 zip(zip(parents, added), range(len(parents))))
 
 
 def clique_counts(alpha, top=None):

@@ -36,8 +36,8 @@ built.  The alphabet and the image table determine the whole complex,
 so ``homology`` keeps its groups on the alphabet under the image table.
 """
 
-from .alphabet import (_check_size, _growth, _level, clique_counts,
-                       enumerate_cliques, max_clique_size)
+from .alphabet import (_check_size, _growth, _kept, _level, _position,
+                       clique_counts, enumerate_cliques, max_clique_size)
 from .intlinalg import IntegerMatrix, homology_of_complex
 from .msets import BASEPOINT as STAR
 
@@ -95,19 +95,20 @@ def _image_table(m, system):
     image, None for an image of rank 0 and -1 for the point itself.
     Over one alphabet, equal tables give equal complexes.  Built on
     first use and kept on the action, one table per system."""
-    table = m._images.get(system)
-    if table is None:
-        points = _basis_points(m, system)
-        where = {x: k for k, x in enumerate(points)}
-        gens, rows = m.alphabet.generators, m._rows
-        table = []
-        for k, x in enumerate(points):
-            where[x] = -1
-            row = rows[x]
-            table.append(tuple([where.get(row[e]) for e in gens]))
-            where[x] = k
-        table = m._images[system] = tuple(table)
-    return table
+    return _kept(m, "images", system, _images, m, system)
+
+
+def _images(m, system):
+    points = _basis_points(m, system)
+    where = {x: k for k, x in enumerate(points)}
+    gens, rows = m.alphabet.generators, m._rows
+    table = []
+    for k, x in enumerate(points):
+        where[x] = -1
+        row = rows[x]
+        table.append(tuple([where.get(row[e]) for e in gens]))
+        where[x] = k
+    return tuple(table)
 
 
 def _face_table(alpha, degree):
@@ -119,21 +120,20 @@ def _face_table(alpha, degree):
     j.  Its faces are the children (f, j) of the faces f of p, with the
     generator and sign of f, and p itself, without j, with the sign
     (-1)^n.  No clique is listed."""
-    kept = alpha._faces.get(degree)
-    if kept is None:
-        parents, added, _ = _growth(alpha, degree)
-        faces = []
-        if parents:
-            # the empty clique has no faces
-            below = _face_table(alpha, degree - 1)[1] if degree > 1 \
-                else [[]]
-            child = _growth(alpha, degree - 1)[2]
-            sign = 1 if degree % 2 == 0 else -1
-            faces = [[(child[f, j], s, sg) for f, s, sg in below[p]]
-                     + [(p, j, sign)] for p, j in zip(parents, added)]
-        kept = alpha._faces[degree] = (len(_level(alpha, degree - 1)),
-                                       faces)
-    return kept
+    return _kept(alpha, "faces", degree, _faces, alpha, degree)
+
+
+def _faces(alpha, degree):
+    parents, added = _growth(alpha, degree)
+    faces = []
+    if parents:
+        # the empty clique has no faces
+        below = _face_table(alpha, degree - 1)[1] if degree > 1 else [[]]
+        child = _position(alpha, degree - 1)
+        sign = 1 if degree % 2 == 0 else -1
+        faces = [[(child[f, j], s, sg) for f, s, sg in below[p]]
+                 + [(p, j, sign)] for p, j in zip(parents, added)]
+    return len(_level(alpha, degree - 1)), faces
 
 
 def boundary_matrix(m, system, degree):
@@ -211,10 +211,6 @@ def homology(m, system, max_degree=None):
     complex that two actions or two systems share, like PUNCTURED of
     ``x0_mset`` and of the same action under another element name, is
     built and reduced once; each call returns a fresh list."""
-    kept = m.alphabet._homology
     key = (_image_table(m, system), max_degree)
-    groups = kept.get(key)
-    if groups is None:
-        groups = kept[key] = homology_of_complex(
-            build_complex(m, system, max_degree))
-    return list(groups)
+    return list(_kept(m.alphabet, "homology", key, lambda: homology_of_complex(
+        build_complex(m, system, max_degree))))

@@ -13,6 +13,7 @@ well-defined action of the whole monoid.
 from collections import defaultdict
 from math import factorial
 
+from .alphabet import _kept
 from .errors import ValidationError
 from .records import Record
 
@@ -28,15 +29,11 @@ class PointedMSet:
     and violated commutation square.  The validated table is held as
     one ``{generator: target}`` dict per carrier point, in carrier
     order; the commutation squares and the chain complex's image table
-    read it row by row.  The image table is kept on the action, one per
-    coefficient system, in ``_images`` (filled by ``chains._image_table``
-    on first use; the action never changes after validation).  Its
-    homology is kept on the alphabet, not on the action:
-    ``chains.homology`` keeps one entry per distinct image table, so
-    actions that give the same complex share it.
+    read it row by row.  The action never changes after validation, so
+    what other modules derive from it is kept on it (``alphabet._kept``).
     """
 
-    __slots__ = ("alphabet", "elements", "_rows", "_images")
+    __slots__ = ("alphabet", "elements", "_rows", "_kept")
 
     def __init__(self, alphabet, elements, action):
         problems = []
@@ -104,7 +101,7 @@ class PointedMSet:
         self.alphabet = alphabet
         self.elements = elems
         self._rows = rows
-        self._images = {}
+        self._kept = {}
 
     @property
     def carrier(self):
@@ -136,13 +133,9 @@ def full_action_from_successor(alpha, successor):
 def x0_mset(alpha):
     """The two-point reference: one element sent to the basepoint by
     every generator.  It is built once per alphabet and kept on it, so
-    the same alphabet always gives the same object.  Its homology is
-    kept on the alphabet with that of every action that gives the same
-    image table (see ``chains.homology``), such as the same action under
-    another element name."""
-    if alpha._x0 is None:
-        alpha._x0 = full_action_from_successor(alpha, {"x0": BASEPOINT})
-    return alpha._x0
+    the same alphabet always gives the same object."""
+    return _kept(alpha, "x0", None, full_action_from_successor, alpha,
+                 {"x0": BASEPOINT})
 
 
 def chain_mset(alpha):

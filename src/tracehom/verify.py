@@ -26,7 +26,7 @@ complexes, not four.  main and aug still compare a side from the
 chains route with one from the simplicial route.
 """
 
-from .alphabet import clique_counts, max_clique_size
+from .alphabet import _kept, clique_counts, max_clique_size
 from .chains import DELTA, PUNCTURED, homology
 from .intlinalg import AbelianGroup
 from .msets import (bijection_count, chain_mset, check_conditions, fan_mset,
@@ -82,11 +82,8 @@ def _count_at(counts, s):
 def _reduced(alpha, max_degree):
     """Reduced homology of the clique complex up to max_degree, by the
     simplicial route; computed once per bound and kept on the alphabet."""
-    groups = alpha._reduced.get(max_degree)
-    if groups is None:
-        groups = clique_complex(alpha, max_degree).reduced_homology()
-        alpha._reduced[max_degree] = groups
-    return list(groups)
+    return list(_kept(alpha, "reduced", max_degree, lambda: clique_complex(
+        alpha, max_degree).reduced_homology()))
 
 
 def _degrees(alpha, max_degree):

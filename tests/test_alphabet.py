@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from helpers import alphabets, brute_force_cliques, random_alphabet
 
 from tracehom import ValidationError
-from tracehom.alphabet import (IndependenceAlphabet, _growth, clique_counts,
-                               enumerate_cliques, max_clique_size)
+from tracehom.alphabet import (IndependenceAlphabet, _growth, _position,
+                               clique_counts, enumerate_cliques,
+                               max_clique_size)
 from tracehom.simplicial import barycentric_flagification, read_face_list
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -140,12 +141,12 @@ def test_growth_record_rebuilds_each_clique(alpha):
     gens = alpha.generators
     below = [()]
     for k in range(1, len(gens) + 2):
-        parents, added, position = _growth(alpha, k)
+        parents, added = _growth(alpha, k)
         level = brute_force_cliques(alpha, k)
         assert [below[p] + (gens[j],) for p, j in zip(parents, added)] == \
             level
-        assert position == {pair: c for c, pair
-                            in enumerate(zip(parents, added))}
+        assert _position(alpha, k) == {pair: c for c, pair
+                                       in enumerate(zip(parents, added))}
         assert enumerate_cliques(alpha, k) == level
         below = level
 

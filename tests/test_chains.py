@@ -13,7 +13,7 @@ from helpers import (RP2_TRIANGLES, actions, alphabets, as_pairs,
                      reference_face_table, relabel_elements,
                      rename_generators, sd2_rp2, shuffle_generators)
 
-from tracehom import chains, intlinalg
+from tracehom import alphabet, chains, intlinalg
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
                                max_clique_size)
 from tracehom.chains import (BASEPOINT_ONLY, DELTA, PUNCTURED, SYSTEMS,
@@ -408,7 +408,7 @@ def test_equal_image_tables_share_one_kept_entry(monkeypatch):
     assert homology(renamed, PUNCTURED) == [ZERO, ZERO, Z]
     assert homology(x0_mset(alpha), PUNCTURED) == [ZERO, ZERO, Z]
     assert built == [(renamed, PUNCTURED)]
-    assert len(alpha._homology) == 1
+    assert len(alpha._kept["homology"]) == 1
     chain, fan = chain_mset(alpha), fan_mset(alpha)
     assert homology(chain, BASEPOINT_ONLY) == \
         homology(fan, BASEPOINT_ONLY) == [Z, 4 * Z, 4 * Z]
@@ -416,7 +416,7 @@ def test_equal_image_tables_share_one_kept_entry(monkeypatch):
     # different complexes still get entries of their own
     homology(chain, PUNCTURED)
     homology(fan, PUNCTURED)
-    assert len(built) == len(alpha._homology) == 4
+    assert len(built) == len(alpha._kept["homology"]) == 4
 
 
 def test_one_image_table_per_action_and_system(monkeypatch):
@@ -466,9 +466,32 @@ def test_face_tables_from_masks_on_sd2_rp2():
             reference_face_table(fresh, n), n
     # the homology path builds the tables without listing a clique
     assert alpha._names == [[()]]
-    assert [len(faces) for _, faces in map(alpha._faces.get, range(1, 5))] \
-        == [181, 540, 360, 0]
+    kept = alpha._kept["faces"]
+    assert [len(faces) for _, faces in map(kept.get, range(1, 5))] == \
+        [181, 540, 360, 0]
 
+
+def test_each_level_position_lookup_is_built_once(monkeypatch):
+    """The face table of degree n reads the (parent, generator) ->
+    position lookup of level n - 1 alone.  Each lookup is built once and
+    kept, in whatever order the degrees are asked for, and homology
+    builds none again."""
+    built = []
+    kept = alphabet._kept
+
+    def recording(owner, kind, key, build, *args):
+        def counted(*built_from):
+            built.append((kind, key))
+            return build(*built_from)
+        return kept(owner, kind, key, counted, *args)
+
+    monkeypatch.setattr(alphabet, "_kept", recording)
+    gens = [f"e{k}" for k in range(5)]
+    alpha = IndependenceAlphabet(gens, combinations(gens, 2))
+    for n in (3, 1, 5, 2, 6, 4):
+        chains._face_table(alpha, n)
+    homology(x0_mset(alpha), DELTA)
+    assert sorted(built) == [("position", k) for k in range(5)]
 
 def test_bounded_complex_lists_no_higher_clique():
     """top=1 needs d_2, whose columns are the 2-cliques: levels 0 to 2
@@ -482,7 +505,7 @@ def test_bounded_complex_lists_no_higher_clique():
     assert [len(level) for level in m.alphabet._cliques] == [1, 6, 15]
     assert len(m.alphabet._grown) == 3
     assert m.alphabet._names == [[()]]
-    assert sorted(m.alphabet._faces) == [1, 2]
+    assert sorted(m.alphabet._kept["faces"]) == [1, 2]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -496,12 +519,12 @@ def test_zero_boundaries_build_no_face_table(data):
     m = x0_mset(alpha)
     w = max_clique_size(alpha)
     homology(m, DELTA)
-    assert sorted(alpha._faces) == list(range(1, w + 1))
+    assert sorted(alpha._kept["faces"]) == list(range(1, w + 1))
 
     alpha = IndependenceAlphabet(alpha.generators, alpha.pairs)
     m = data.draw(actions(alpha))
     homology(m, BASEPOINT_ONLY)
-    assert alpha._faces == {}
+    assert "faces" not in alpha._kept
 
     fresh = IndependenceAlphabet(alpha.generators, alpha.pairs)
     copy = PointedMSet(fresh, m.elements,
