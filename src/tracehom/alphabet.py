@@ -31,6 +31,9 @@ from .errors import ValidationError
 #: basis of one degree of a chain complex (``chains``), the faces of one
 #: flagified face list (``simplicial``)
 _SIZE_CAP = 10 ** 6
+#: the most mask bits one clique level may hold, 32 MiB: a level under
+#: the size cap can still be large when its masks are long
+_MASK_BITS_CAP = 2 ** 28
 
 
 def _kept(owner, kind, key, build, *args):
@@ -42,11 +45,13 @@ def _kept(owner, kind, key, build, *args):
     return terms[key]
 
 
-def _check_size(where, count, unit):
-    """Refuse a listing of count items before it is made, past the cap."""
-    if count > _SIZE_CAP:
+def _check_size(where, count, unit, cap=None):
+    """Refuse a listing of count items before it is made, past the cap
+    (``_SIZE_CAP`` unless another is given)."""
+    cap = _SIZE_CAP if cap is None else cap
+    if count > cap:
         raise ValidationError([f"too large: {where} would hold {count} "
-                               f"{unit}; the limit is {_SIZE_CAP}"])
+                               f"{unit}; the limit is {cap}"])
 
 
 class IndependenceAlphabet:
@@ -167,12 +172,18 @@ def _level(alpha, k):
     """The kept masks of the k-cliques (k >= 0), grown on demand; one
     per clique, so the level's length is its clique count.  It is not a
     copy: callers read it and must not change it.  A level of more than
-    ``_SIZE_CAP`` cliques raises ``ValidationError`` before it is
-    grown."""
+    ``_SIZE_CAP`` cliques, or of masks that may hold more than
+    ``_MASK_BITS_CAP`` bits, raises ``ValidationError`` before it is
+    grown.  A clique with mask m has m.bit_count() children, each with a
+    mask no longer than m, so the level below bounds those bits."""
     table = alpha._cliques
     while len(table) <= k and table[-1]:
-        _check_size(f"clique level {len(table)}",
-                    sum(mask.bit_count() for mask in table[-1]), "cliques")
+        where = f"clique level {len(table)}"
+        _check_size(where, sum(mask.bit_count() for mask in table[-1]),
+                    "cliques")
+        _check_size(where, sum(mask.bit_count() * mask.bit_length()
+                               for mask in table[-1]),
+                    "mask bits at most", _MASK_BITS_CAP)
         masks, grown = _next_level(table[1], table[-1])
         table.append(masks)
         alpha._grown.append(grown)

@@ -38,7 +38,7 @@ so ``homology`` keeps its groups on the alphabet under the image table.
 
 from .alphabet import (_check_size, _growth, _kept, _level, _position,
                        clique_counts, enumerate_cliques, max_clique_size)
-from .intlinalg import IntegerMatrix, homology_of_complex
+from .intlinalg import AbelianGroup, IntegerMatrix, homology_of_complex
 from .msets import BASEPOINT as STAR
 
 
@@ -202,15 +202,24 @@ def build_complex(m, system, top=None):
 
 def homology(m, system, max_degree=None):
     """Homology of the action in degrees 0 .. max_degree (default: the
-    largest clique size).  Only degrees up to max_degree + 1 are built;
-    degrees above the largest clique size come out as zero groups, and a
-    negative bound gives none.
+    largest clique size w).  Only degrees up to max_degree + 1, and none
+    above w + 1, are built; degrees above w come out as zero groups, and
+    a negative bound gives none.  A bound past ``alphabet._SIZE_CAP``
+    groups raises ``ValidationError`` before anything is built.
 
     The groups are kept on the alphabet, one entry per distinct image
     table and bound.  Equal image tables give equal boundaries, so a
     complex that two actions or two systems share, like PUNCTURED of
     ``x0_mset`` and of the same action under another element name, is
     built and reduced once; each call returns a fresh list."""
+    top = max_clique_size(m.alphabet) if max_degree is None else max_degree
+    _check_size(f"homology up to degree {top}", top + 1, "groups")
     key = (_image_table(m, system), max_degree)
-    return list(_kept(m.alphabet, "homology", key, lambda: homology_of_complex(
-        build_complex(m, system, max_degree))))
+    return list(_kept(m.alphabet, "homology", key, _homology, m, system, top))
+
+
+def _homology(m, system, top):
+    # there are no chains above w: build up to w at most, then pad
+    built = min(top, len(clique_counts(m.alphabet, top + 1)) - 1)
+    return homology_of_complex(build_complex(m, system, built)) \
+        + [AbelianGroup(0)] * (top - built)

@@ -508,6 +508,23 @@ def test_bounded_complex_lists_no_higher_clique():
     assert sorted(m.alphabet._kept["faces"]) == [1, 2]
 
 
+def test_bound_above_the_largest_clique_builds_up_to_it(monkeypatch):
+    """Above the largest clique size w there are no chains: a bound of
+    1000 builds the complex only up to d_w+1, like no bound, and pads the
+    groups with zeros."""
+    tops = []
+    build = chains.build_complex
+
+    def recording(m, system, top=None):
+        tops.append(top)
+        return build(m, system, top)
+
+    monkeypatch.setattr(chains, "build_complex", recording)
+    m = x0_mset(IndependenceAlphabet(CYCLE4.generators, CYCLE4.pairs))
+    assert homology(m, DELTA, 1000) == \
+        homology(m, DELTA) + [ZERO] * 998
+    assert tops == [2, 2]
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_zero_boundaries_build_no_face_table(data):

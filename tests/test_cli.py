@@ -178,9 +178,10 @@ def test_verify_and_counterexample_max_degree_bound_the_work(tmp_path):
 
 def test_schema_flagify_of_a_long_face_stops_at_the_size_cap(tmp_path):
     """One face of 10 vertices flagifies to 1,023 generators whose clique
-    levels hold 57,002, 874,500 and then 5,921,520 cliques, more than
-    the cap: exit 2 naming that level and its size, before it is
-    grown."""
+    levels hold 57,002 and then 874,500 cliques, under the cap, but the
+    masks of level 3 may hold 894,613,500 bits (106.6 MiB), more than
+    the mask-bit cap: exit 2 naming that level and its bound, before it
+    is grown."""
     path = write(tmp_path, "faces.txt", "a b c d e f g h i j\n")
     start = time.perf_counter()
     result = run_capped("schema", path, "--flagify")
@@ -188,8 +189,44 @@ def test_schema_flagify_of_a_long_face_stops_at_the_size_cap(tmp_path):
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
-        "error: too large: clique level 4 would hold 5921520 cliques; "
-        f"the limit is {alphabet._SIZE_CAP}"]
+        "error: too large: clique level 3 would hold 894613500 mask bits "
+        f"at most; the limit is {alphabet._MASK_BITS_CAP}"]
+    assert elapsed < 2.0
+
+
+def test_mask_bits_cap_admits_its_limit_and_refuses_one_more(tmp_path,
+                                                             monkeypatch):
+    """On the complete alphabet of 4 generators the masks of level 1, of
+    3, 2, 1 and 0 bits set below bit 4, bound those of level 2 by
+    3*4 + 2*4 + 1*4 = 24 bits, the largest bound of any level."""
+    path = complete_alphabet_file(tmp_path, 4)
+    unbounded = run("schema", path)
+    assert unbounded.exit_code == 0, unbounded.output
+    monkeypatch.setattr(alphabet, "_MASK_BITS_CAP", 24)
+    at_cap = run("schema", path)
+    assert (at_cap.exit_code, at_cap.stdout, at_cap.stderr) == \
+        (0, unbounded.stdout, "")
+    monkeypatch.setattr(alphabet, "_MASK_BITS_CAP", 23)
+    over = run("schema", path)
+    assert (over.exit_code, over.stdout) == (2, "")
+    assert over.stderr.splitlines() == [
+        "error: too large: clique level 2 would hold 24 mask bits at most; "
+        "the limit is 23"]
+
+
+@pytest.mark.parametrize("command", ["homology", "verify", "counterexample"])
+def test_max_degree_past_the_size_cap_exits_2(tmp_path, command):
+    """A bound of 10^20 would report 10^20 + 1 degrees: exit 2 at once,
+    with nothing built past the largest clique."""
+    path = complete_alphabet_file(tmp_path, 3)
+    start = time.perf_counter()
+    result = run_capped(command, path, "--max-degree", 10 ** 20)
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: too large: homology up to degree {10 ** 20} would hold "
+        f"{10 ** 20 + 1} groups; the limit is {alphabet._SIZE_CAP}"]
     assert elapsed < 2.0
 
 
