@@ -406,6 +406,79 @@ def brute_force_cliques(alpha, k):
     return out
 
 
+def successor_cycles(successor):
+    """The cycles of the map x -> successor[x] with the basepoint fixed,
+    each as a tuple of its points; the basepoint's loop is one."""
+    f = {**successor, BASEPOINT: BASEPOINT}
+    seen, cycles = set(), []
+    for start in f:
+        path = []
+        x = start
+        while x not in seen:
+            seen.add(x)
+            path.append(x)
+            x = f[x]
+        if x in path:
+            cycles.append(tuple(path[path.index(x):]))
+    return cycles
+
+
+#: (rank at an element, rank at the basepoint) of each coefficient system
+_RANKS = {"delta": (1, 1), "punctured": (1, 0), "basepoint": (0, 1)}
+
+
+def closed_form_homology(alpha, successor, coefficients):
+    """Homology of the full action where every generator sends x to
+    successor[x], in degrees 0 .. w, as (free rank, torsion) pairs.
+
+    Let P be the points of rank 1 under the named coefficient system,
+    N = |P|, and c the number of cycles of the map that lie inside P (a
+    fixed point is a cycle, and so is the basepoint).  Then
+
+        H_n = (N - c) H~_n-1 + Z^(c p_n),
+
+    with H~ the reduced homology of the clique complex, where H~_-1 is Z
+    for the empty alphabet and 0 otherwise.  The cliques are brute-forced
+    and H~ comes from dense augmented boundaries through
+    ``diagonalize``; no engine code is used."""
+    at_element, at_base = _RANKS[coefficients]
+    rank_one = {x for x in successor if at_element}
+    rank_one |= {BASEPOINT} if at_base else set()
+    n_points = len(rank_one)
+    c = sum(set(cycle) <= rank_one for cycle in successor_cycles(successor))
+    levels = [[()]]
+    while levels[-1]:
+        levels.append(brute_force_cliques(alpha, len(levels)))
+    # diags[s]: the diagonal of the boundary from the s-cliques to the
+    # (s-1)-cliques, the faces of the 1-cliques being the empty clique
+    diags = [[]]
+    for s in range(1, len(levels)):
+        index = {K: i for i, K in enumerate(levels[s - 1])}
+        rows = [[0] * len(levels[s]) for _ in levels[s - 1]]
+        for j, K in enumerate(levels[s]):
+            for i in range(s):
+                rows[index[K[:i] + K[i + 1:]]][j] = (-1) ** i
+        diags.append(diagonalize(rows))
+    groups = []
+    for n in range(len(levels) - 1):
+        # H~_n-1 is ker of the boundary out of the n-cliques over the
+        # image of the one into them
+        free = len(levels[n]) - len(diags[n]) - len(diags[n + 1])
+        torsion = [d for d in diags[n + 1] if d > 1] * (n_points - c)
+        groups.append(((n_points - c) * free + c * len(levels[n]),
+                       tuple(d for d in divisor_chain(torsion) if d > 1)))
+    return groups
+
+
+@st.composite
+def successor_maps(draw, max_elements=4):
+    """Hypothesis strategy: a map from elements x0, x1, ... into the
+    elements and the basepoint, so cycles, fixed points and trees all
+    occur."""
+    names = [f"x{k}" for k in range(draw(st.integers(0, max_elements)))]
+    points = st.sampled_from(names + [BASEPOINT])
+    return {x: draw(points) for x in names}
+
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):
     nr = rng.randint(0, max_dim)
     nc = rng.randint(0, max_dim)

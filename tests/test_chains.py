@@ -4,14 +4,15 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from helpers import (RP2_TRIANGLES, actions, alphabets, as_pairs,
                      assert_column_storage, change_one_entry,
-                     composes_to_zero, pair_route_homology,
-                     random_alphabet, random_mset, reference_boundary,
-                     reference_face_table, relabel_elements,
-                     rename_generators, sd2_rp2, shuffle_generators)
+                     closed_form_homology, composes_to_zero,
+                     pair_route_homology, random_alphabet, random_mset,
+                     reference_boundary, reference_face_table,
+                     relabel_elements, rename_generators, sd2_rp2,
+                     shuffle_generators, successor_cycles, successor_maps)
 
 from tracehom import alphabet, chains, intlinalg
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
@@ -553,6 +554,36 @@ def test_zero_boundaries_build_no_face_table(data):
         assert maps[1:] == [reference_boundary(m, system, n)
                             for n in range(1, w + 2)], system
 
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(alphabets(max_size=6), successor_maps())
+def test_full_actions_match_the_closed_form(alpha, successor):
+    """An action where every generator acts as one map, with cycles,
+    fixed points and trees drawn alike: in every system the homology is
+    (N - c) copies of the clique complex's reduced homology one degree
+    down plus Z^(c p_n), computed by the dense oracle."""
+    m = full_action_from_successor(alpha, successor)
+    cycles = sum(BASEPOINT not in cycle
+                 for cycle in successor_cycles(successor))
+    event(f"cycles among the elements: {cycles}")
+    for system in SYSTEMS.values():
+        assert as_pairs(homology(m, system)) == \
+            closed_form_homology(alpha, successor, system.name), system
+
+
+def test_full_action_with_torsion_matches_the_closed_form():
+    """A 2-cycle beside a chain of three points to the basepoint, over
+    sd(RP2) (clique counts [1, 31, 90, 60], H~_1 = Z/2): four copies of
+    Z/2 in H_2, next to Z^(c p_2) with c = 1 for PUNCTURED (the 2-cycle)
+    and c = 2 for DELTA (the 2-cycle and the basepoint)."""
+    alpha = barycentric_flagification(RP2_TRIANGLES)
+    successor = {"a": "b", "b": "a", "c": "d", "d": "e", "e": BASEPOINT}
+    m = full_action_from_successor(alpha, successor)
+    for system in SYSTEMS.values():
+        assert as_pairs(homology(m, system)) == \
+            closed_form_homology(alpha, successor, system.name), system
+    assert homology(m, PUNCTURED)[2] == AbelianGroup(90, (2,) * 4)
+    assert homology(m, DELTA)[2] == AbelianGroup(180, (2,) * 4)
 
 def test_full_complete_alphabet_matches_binomials():
     gens = [f"e{k}" for k in range(4)]
