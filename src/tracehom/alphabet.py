@@ -108,6 +108,7 @@ class IndependenceAlphabet:
         self._cliques = [[(1 << len(gens)) - 1], later]
         self._grown = [([], []), ([0] * len(gens), list(range(len(gens))))]
         self._names = [[()]]
+        # terms other code derives from the alphabet, by kind and key
         self._kept = {}
 
     def index(self, g):

@@ -34,6 +34,11 @@ degree n is the column count of d_n, and a degree of more than
 ``alphabet._SIZE_CAP`` basis elements is refused before any map is
 built.  The alphabet and the image table determine the whole complex,
 so ``homology`` keeps its groups on the alphabet under the image table.
+Face tables, image tables and groups are all kept through
+``alphabet._kept``.  There are no chains above the largest clique size
+w, so ``homology`` builds nothing above degree w + 1 and pads the
+groups with zeros; a bound that would report more than
+``alphabet._SIZE_CAP`` groups is refused.
 """
 
 from .alphabet import (_check_size, _growth, _kept, _level, _position,

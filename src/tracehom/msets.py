@@ -8,6 +8,10 @@ and independent generators must act interchangeably:
 
 That compatibility is exactly what extends a generator table to a
 well-defined action of the whole monoid.
+
+An action is never changed after validation, so ``chains`` keeps its
+image tables on it, and ``x0_mset`` keeps the two-point reference on
+its alphabet, both through ``alphabet._kept``.
 """
 
 from collections import defaultdict

@@ -18,9 +18,10 @@ Checks whose preconditions fail report "not applicable" rather than
 passing silently.
 
 The identities share terms.  Each term is computed once and kept on the
-alphabet: the homology of an action, one entry per distinct image table
-(see ``chains.homology``), the two-point reference and the clique
-complex's reduced homology.  On the two-point action itself, its
+alphabet through ``alphabet._kept``: the homology of an action, one
+entry per distinct image table (see ``chains.homology``), the two-point
+reference and, kept by this module, the clique complex's reduced
+homology per degree bound.  On the two-point action itself, its
 PUNCTURED complex is the reference's, so ``verify all`` reduces three
 complexes, not four.  main and aug still compare a side from the
 chains route with one from the simplicial route.
