@@ -227,4 +227,4 @@ def _homology(m, system, top):
     # there are no chains above w: build up to w at most, then pad
     built = min(top, len(clique_counts(m.alphabet, top + 1)) - 1)
     return homology_of_complex(build_complex(m, system, built)) \
-        + [AbelianGroup(0)] * (top - built)
+        + [AbelianGroup(0) for _ in range(top - built)]
