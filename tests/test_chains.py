@@ -494,6 +494,7 @@ def test_each_level_position_lookup_is_built_once(monkeypatch):
     homology(x0_mset(alpha), DELTA)
     assert sorted(built) == [("position", k) for k in range(5)]
 
+
 def test_bounded_complex_lists_no_higher_clique():
     """top=1 needs d_2, whose columns are the 2-cliques: levels 0 to 2
     are grown, with the growth record of level 2 for d_2's face table.
@@ -525,6 +526,7 @@ def test_bound_above_the_largest_clique_builds_up_to_it(monkeypatch):
     assert homology(m, DELTA, 1000) == \
         homology(m, DELTA) + [ZERO] * 998
     assert tops == [2, 2]
+
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.data())
