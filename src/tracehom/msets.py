@@ -12,10 +12,12 @@ well-defined action of the whole monoid.
 An action is never changed after validation, so ``chains`` keeps its
 image tables on it, and ``x0_mset`` keeps the two-point reference on
 its alphabet, both through ``alphabet._kept``.
-"""
 
-from collections import defaultdict
-from math import factorial
+``iso_check`` is a complete search, so its None certifies that two
+actions are not isomorphic.  Each assignment x -> y also assigns the
+x.e -> y.e it forces and is undone from a log when one clashes; some
+pairs of actions still take it time exponential in their size.
+"""
 
 from .alphabet import _kept
 from .errors import ValidationError
@@ -205,66 +207,59 @@ def check_conditions(m):
     return ConditionsReport(full, tree, tuple(violations))
 
 
-def _signature(m, x):
-    sig = []
-    for e in m.alphabet.generators:
-        y = m.act(x, e)
-        sig.append(BASEPOINT if y == BASEPOINT
-                   else ("self" if y == x else "move"))
-    return tuple(sig)
-
-
 def iso_check(m1, m2):
     """Search for a basepoint-preserving equivariant bijection.
 
-    Returns one as a dict (basepoint included) or None.  The search is
-    exhaustive backtracking over element assignments, pruned by local
-    image signatures and by partial equivariance."""
+    Returns ``(witness, tried)``: the bijection as a dict, basepoint
+    first, or None when there is none, and the number of candidates
+    assigned at branch points (0 when the sizes differ).  m1's elements
+    branch in their order and m2's are tried in theirs, so the witness
+    is the first equivariant bijection in that order."""
     if m1.alphabet != m2.alphabet:
         raise ValueError("msets live over different alphabets")
-    if len(m1.elements) != len(m2.elements):
-        return None
-    gens = m1.alphabet.generators
-    sig2 = defaultdict(list)
-    for y in m2.elements:
-        sig2[_signature(m2, y)].append(y)
+    xs, ys = m1.elements, m2.elements
+    n = len(xs)
+    if n != len(ys):
+        return None, 0
+    phi, taken, log = {BASEPOINT: BASEPOINT}, {BASEPOINT}, []
 
-    phi = {BASEPOINT: BASEPOINT}
-    taken = {BASEPOINT: BASEPOINT}
-
-    def consistent():
-        for a, fa in phi.items():
-            for e in gens:
-                img = m1.act(a, e)
-                timg = m2.act(fa, e)
-                if img in phi:
-                    if phi[img] != timg:
-                        return False
-                elif timg in taken:
-                    # timg is reserved for a different preimage
+    def assign(x, y):
+        # x -> y and every pair x.e -> y.e it forces; False on a pair
+        # that contradicts phi or maps onto a point already taken
+        pending = [(x, y)]
+        while pending:
+            a, b = pending.pop()
+            if a in phi or b in taken:
+                if phi.get(a) != b:
                     return False
+                continue
+            phi[a] = b
+            taken.add(b)
+            log.append(a)
+            row1, row2 = m1._rows[a], m2._rows[b]
+            pending.extend((row1[e], row2[e]) for e in row1)
         return True
 
-    def assign(k):
-        if k == len(m1.elements):
-            return True
-        x = m1.elements[k]
-        for y in sig2[_signature(m1, x)]:
-            if y in taken:
+    tried = k = 0
+    stack = []  # per open branch: [element index, next candidate, log mark]
+    while True:
+        while k < n and xs[k] in phi:
+            k += 1
+        if k == n:
+            return {x: phi[x] for x in (BASEPOINT, *xs)}, tried
+        stack.append([k, 0, len(log)])
+        while stack:  # undo to the innermost branch, try its next candidate
+            k, j, mark = frame = stack[-1]
+            while len(log) > mark:
+                taken.discard(phi.pop(log.pop()))
+            while j < n and ys[j] in taken:
+                j += 1
+            if j == n:
+                stack.pop()
                 continue
-            phi[x] = y
-            taken[y] = x
-            if consistent() and assign(k + 1):
-                return True
-            del phi[x], taken[y]
-        return False
-
-    if assign(0):
-        return dict(phi)
-    return None
-
-
-def bijection_count(m):
-    """Number of basepoint-preserving bijections an exhaustive search
-    ranges over."""
-    return factorial(len(m.elements))
+            frame[1] = j + 1
+            tried += 1
+            if assign(xs[k], ys[j]):
+                break
+        else:
+            return None, tried

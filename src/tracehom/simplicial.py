@@ -13,7 +13,8 @@ indices, here the one its closure check makes, and hands the columns to
 from itertools import chain, combinations
 from operator import lt
 
-from .alphabet import IndependenceAlphabet, _check_size, enumerate_cliques
+from .alphabet import (IndependenceAlphabet, _check_size, clique_counts,
+                       enumerate_cliques)
 from .errors import ValidationError
 from .intlinalg import IntegerMatrix, homology_of_complex
 
@@ -166,8 +167,11 @@ def clique_complex(alpha, top=None):
 
     With top given, only simplices of dimension up to top are listed.
     That skeleton has the reduced homology of the whole complex in
-    degrees below top.
+    degrees below top.  A complex of more than ``alphabet._SIZE_CAP``
+    simplices raises ``ValidationError`` before any clique is named.
     """
+    counts = clique_counts(alpha, None if top is None else top + 1)
+    _check_size("the clique complex", sum(counts[1:]), "simplices")
     levels = []
     while top is None or len(levels) <= top:
         cliques = enumerate_cliques(alpha, len(levels) + 1)

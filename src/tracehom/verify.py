@@ -30,8 +30,7 @@ chains route with one from the simplicial route.
 from .alphabet import _kept, clique_counts, max_clique_size
 from .chains import DELTA, PUNCTURED, homology
 from .intlinalg import AbelianGroup
-from .msets import (bijection_count, chain_mset, check_conditions, fan_mset,
-                    iso_check, x0_mset)
+from .msets import chain_mset, check_conditions, fan_mset, iso_check, x0_mset
 from .records import Record
 from .simplicial import clique_complex
 
@@ -162,7 +161,8 @@ class CounterexampleReport(Record):
 
     The chain sends x0 -> x1 -> *, the fan sends both elements straight
     to *.  For any alphabet with at least one generator they are not
-    isomorphic, yet every homology group agrees.
+    isomorphic, yet every homology group agrees.  ``bijections_searched``
+    is the number of assignments ``iso_check`` tried to decide that.
     """
 
     __slots__ = ("isomorphic", "witness", "bijections_searched", "tables",
@@ -182,7 +182,7 @@ class CounterexampleReport(Record):
 def counterexample_report(alpha, max_degree=None):
     chain = chain_mset(alpha)
     fan = fan_mset(alpha)
-    witness = iso_check(chain, fan)
+    witness, tried = iso_check(chain, fan)
     top = max_clique_size(alpha) if max_degree is None else max_degree
     tables = {}
     for system in (DELTA, PUNCTURED):
@@ -195,5 +195,5 @@ def counterexample_report(alpha, max_degree=None):
     if not alpha.generators:
         note = ("no generators: both actions degenerate to the same "
                 "trivial one, so they are isomorphic")
-    return CounterexampleReport(witness is not None, witness,
-                                bijection_count(chain), tables, note)
+    return CounterexampleReport(witness is not None, witness, tried, tables,
+                                note)

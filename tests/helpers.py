@@ -2,7 +2,7 @@
 generators.  The oracles here deliberately avoid the code paths they
 check."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 from hypothesis import strategies as st
@@ -406,6 +406,23 @@ def brute_force_cliques(alpha, k):
     return out
 
 
+def brute_force_iso(m1, m2):
+    """The first basepoint-preserving equivariant bijection from m1 to
+    m2 as a dict, or None: each ordering of m2's elements, in the order
+    ``itertools.permutations`` lists them, is matched with m1's elements
+    and checked at every point and generator."""
+    if len(m1.elements) != len(m2.elements):
+        return None
+    gens = m1.alphabet.generators
+    for image in permutations(m2.elements):
+        phi = dict(zip(m1.elements, image))
+        phi[BASEPOINT] = BASEPOINT
+        if all(phi[m1.act(x, e)] == m2.act(phi[x], e)
+               for x in phi for e in gens):
+            return phi
+    return None
+
+
 def successor_cycles(successor):
     """The cycles of the map x -> successor[x] with the basepoint fixed,
     each as a tuple of its points; the basepoint's loop is one."""
@@ -507,14 +524,16 @@ def alphabets(draw, max_size=10, min_size=0):
 
 
 @st.composite
-def actions(draw, alpha, max_elements=4):
-    """Hypothesis strategy: a valid action over alpha.
+def actions(draw, alpha, max_elements=4, min_elements=0):
+    """Hypothesis strategy: a valid action over alpha, on min_elements
+    to max_elements elements.
 
     A generator with an independent partner acts as a power of one
     shared function f (powers of f commute); the power 0 is the identity
     and f may fix points, so x.e = x is drawn often.  A generator with
     no partner needs to commute with nothing and acts by any table."""
-    names = [f"x{k}" for k in range(draw(st.integers(0, max_elements)))]
+    names = [f"x{k}" for k in
+             range(draw(st.integers(min_elements, max_elements)))]
     carrier = names + [BASEPOINT]
     points = st.sampled_from(carrier)
     f = {x: draw(points) for x in names}

@@ -194,6 +194,25 @@ def test_schema_flagify_of_a_long_face_stops_at_the_size_cap(tmp_path):
     assert elapsed < 2.0
 
 
+
+def test_schema_flagify_of_an_8_vertex_face_stops_at_the_complex_cap(
+        tmp_path):
+    """One face of 8 vertices flagifies to 255 generators whose clique
+    levels each stay under the caps, but together hold 255 + 6,050 +
+    46,620 + 166,824 + 317,520 + 332,640 + 181,440 + 40,320 = 1,091,669
+    simplices: exit 2 once the levels are counted, before any clique is
+    named."""
+    path = write(tmp_path, "faces.txt", "a b c d e f g h\n")
+    start = time.perf_counter()
+    result = run_capped("schema", path, "--flagify")
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: too large: the clique complex would hold 1091669 simplices; "
+        f"the limit is {alphabet._SIZE_CAP}"]
+    assert elapsed < 2.0
+
 def test_mask_bits_cap_admits_its_limit_and_refuses_one_more(tmp_path,
                                                              monkeypatch):
     """On the complete alphabet of 4 generators the masks of level 1, of
@@ -231,23 +250,29 @@ def test_max_degree_past_the_size_cap_exits_2(tmp_path, command):
 
 
 def _size_cap_cases(tmp_path):
-    """(argv, the largest listing, its error) for each of the three size
-    checks: a clique level (levels [1, 4, 6, 4, 1]), a degree of the
-    chain complex (2 rank-1 points times 4 cliques in degree 1) and a
-    face list (a, b, ab and c; the repeated line counts once)."""
-    faces = write(tmp_path, "faces.txt", "a b\nc\nb a\n")
+    """(argv, the largest listing, its error) for each of the four size
+    checks: a clique level (levels [1, 4, 6, 4, 1], of which punctured
+    homology lists no more than 6 in a degree), a degree of the chain
+    complex (2 rank-1 points times 4 cliques in degree 1), a face list
+    (a and b; the repeated line counts once) and a clique complex (the
+    4 + 6 + 4 + 1 simplices of the same levels)."""
+    complete = complete_alphabet_file(tmp_path, 4)
+    faces = write(tmp_path, "faces.txt", "a\nb\na\n")
     return [
-        (("schema", complete_alphabet_file(tmp_path, 4)), 6,
+        (("homology", complete, "--coeff", "punctured"), 6,
          "error: too large: clique level 2 would hold 6 cliques"),
         (("homology", PROBLEMS / "x0_cycle4.json"), 8,
          "error: too large: degree 1 of the chain complex would hold 8 "
          "basis elements"),
-        (("schema", faces, "--flagify"), 4,
-         f"error: {faces}: too large: the face list would hold 4 faces"),
+        (("schema", faces, "--flagify"), 2,
+         f"error: {faces}: too large: the face list would hold 2 faces"),
+        (("schema", complete), 15,
+         "error: too large: the clique complex would hold 15 simplices"),
     ]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["level", "degree", "faces"])
+@pytest.mark.parametrize("case", range(4),
+                         ids=["level", "degree", "faces", "complex"])
 def test_size_cap_admits_its_limit_and_refuses_one_more(tmp_path,
                                                         monkeypatch, case):
     argv, count, error = _size_cap_cases(tmp_path)[case]
@@ -484,8 +509,7 @@ def test_iso_negative_pair():
     result = run("iso", PROBLEMS / "chain2_cycle4.json",
                  PROBLEMS / "fan2_cycle4.json")
     assert result.exit_code == 1
-    assert "NOT ISOMORPHIC (searched 2 basepoint-preserving bijections)" \
-        in result.stdout
+    assert "NOT ISOMORPHIC (tried 2 assignments)" in result.stdout
 
 
 def test_iso_self():
@@ -535,7 +559,7 @@ def test_counterexample_cycle4_human():
     result = run("counterexample", PROBLEMS / "cycle4.json")
     assert result.exit_code == 0
     out = result.stdout
-    assert "isomorphic: NO (searched 2 bijections)" in out
+    assert "isomorphic: NO (tried 2 assignments)" in out
     assert "delta:" in out and "punctured:" in out
     assert "MISMATCH" not in out
     assert "verdict: non-isomorphic actions, identical homology" in out

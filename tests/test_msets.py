@@ -1,13 +1,16 @@
 import random
-from math import factorial
+import time
 
 import pytest
-from helpers import random_alphabet, random_mset, relabel_elements
+from helpers import (actions, alphabets, brute_force_iso, random_alphabet,
+                     random_mset, relabel_elements)
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from tracehom import ValidationError
 from tracehom.alphabet import IndependenceAlphabet
-from tracehom.msets import (BASEPOINT, PointedMSet, bijection_count,
-                            chain_mset, check_conditions, fan_mset,
+from tracehom.msets import (BASEPOINT, PointedMSet, chain_mset,
+                            check_conditions, fan_mset,
                             full_action_from_successor, iso_check, x0_mset)
 
 EMPTY = IndependenceAlphabet([])
@@ -231,29 +234,35 @@ def test_check_conditions_cycle_not_tree():
 
 def test_iso_self():
     m = chain_mset(CYCLE4)
-    witness = iso_check(m, m)
+    witness, tried = iso_check(m, m)
     assert witness == {"x0": "x0", "x1": "x1", BASEPOINT: BASEPOINT}
+    assert list(witness) == [BASEPOINT, "x0", "x1"]
+    # x0 -> x0 forces x1 -> x1, so one branch decides it
+    assert tried == 1
 
 
 def test_iso_chain_vs_fan():
-    assert iso_check(chain_mset(CYCLE4), fan_mset(CYCLE4)) is None
-    assert iso_check(fan_mset(CYCLE4), chain_mset(CYCLE4)) is None
+    # each of the two candidates for x0 clashes
+    assert iso_check(chain_mset(CYCLE4), fan_mset(CYCLE4)) == (None, 2)
+    # x0 -> x1 holds, then x1 has only x0 left, which clashes
+    assert iso_check(fan_mset(CYCLE4), chain_mset(CYCLE4)) == (None, 3)
 
 
 def test_iso_chain_vs_fan_single_generator():
-    assert iso_check(chain_mset(SINGLE), fan_mset(SINGLE)) is None
+    assert iso_check(chain_mset(SINGLE), fan_mset(SINGLE)) == (None, 2)
 
 
 def test_iso_relabeled_chain():
     chain = chain_mset(SINGLE)
     flipped = full_action_from_successor(
         SINGLE, {"y1": "y0", "y0": BASEPOINT})
-    witness = iso_check(chain, flipped)
+    witness, tried = iso_check(chain, flipped)
     assert witness == {"x0": "y1", "x1": "y0", BASEPOINT: BASEPOINT}
+    assert tried == 1
 
 
 def test_iso_size_mismatch():
-    assert iso_check(x0_mset(CYCLE4), chain_mset(CYCLE4)) is None
+    assert iso_check(x0_mset(CYCLE4), chain_mset(CYCLE4)) == (None, 0)
 
 
 def test_iso_alphabet_mismatch():
@@ -267,7 +276,7 @@ def test_iso_witness_is_equivariant():
     for _ in range(20):
         m = random_mset(rng, random_alphabet(rng))
         other = relabel_elements(m)
-        witness = iso_check(m, other)
+        witness, _ = iso_check(m, other)
         assert witness is not None
         found += 1
         for x in m.carrier:
@@ -282,12 +291,67 @@ def test_iso_is_symmetric():
         alpha = random_alphabet(rng, max_size=3)
         m1 = random_mset(rng, alpha, max_elements=3)
         m2 = random_mset(rng, alpha, max_elements=3)
-        assert (iso_check(m1, m2) is None) == (iso_check(m2, m1) is None)
+        assert (iso_check(m1, m2)[0] is None) == \
+            (iso_check(m2, m1)[0] is None)
 
 
-def test_bijection_count():
-    assert bijection_count(x0_mset(SINGLE)) == 1
-    assert bijection_count(chain_mset(SINGLE)) == 2
-    m = full_action_from_successor(
-        SINGLE, {f"x{k}": BASEPOINT for k in range(5)})
-    assert bijection_count(m) == factorial(5)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_iso_matches_the_brute_force_oracle(data):
+    """The witness is the first equivariant bijection in the order that
+    ``itertools.permutations`` lists m2's elements, None exactly when
+    there is none.  The second action is the first relabeled in a drawn
+    order, another drawn action of the same size, or one of any size."""
+    alpha = data.draw(alphabets(max_size=3))
+    m1 = data.draw(actions(alpha, max_elements=5))
+    other = data.draw(st.sampled_from(["relabeled", "same size", "any"]))
+    if other == "relabeled":
+        order = data.draw(st.permutations(m1.elements))
+        name = {x: f"y{k}" for k, x in enumerate(order)}
+        name[BASEPOINT] = BASEPOINT
+        m2 = PointedMSet(alpha, [name[x] for x in order], {
+            name[x]: {e: name[m1.act(x, e)] for e in alpha.generators}
+            for x in m1.elements})
+    elif other == "same size":
+        n = len(m1.elements)
+        m2 = data.draw(actions(alpha, max_elements=n, min_elements=n))
+    else:
+        m2 = data.draw(actions(alpha, max_elements=5))
+    witness, tried = iso_check(m1, m2)
+    expected = brute_force_iso(m1, m2)
+    assert witness == expected
+    if len(m1.elements) != len(m2.elements):
+        event("sizes differ")
+        assert tried == 0
+    else:
+        event("isomorphic" if witness else "same size, not isomorphic")
+        assert tried >= 1 or not m1.elements
+
+
+def _fan_and_chain(n):
+    fan = full_action_from_successor(
+        CYCLE4, {f"x{k}": BASEPOINT for k in range(n)})
+    chain = full_action_from_successor(
+        CYCLE4, {f"x{k}": f"x{k + 1}" for k in range(n - 1)}
+        | {f"x{n - 1}": BASEPOINT})
+    return fan, chain
+
+
+def test_iso_of_a_long_fan_with_itself_needs_no_recursion():
+    """1,200 elements, more than the default recursion limit: one
+    assignment per element, each holding at once."""
+    fan, _ = _fan_and_chain(1200)
+    start = time.perf_counter()
+    witness, tried = iso_check(fan, fan)
+    assert time.perf_counter() - start < 1.0
+    assert witness == {x: x for x in fan.carrier}
+    assert tried == 1200
+
+
+def test_iso_rejects_a_long_chain_against_a_long_fan():
+    """Every candidate for the chain's x0 clashes, since x0.e = x1 is
+    not fixed while each fan element goes to the basepoint."""
+    fan, chain = _fan_and_chain(1200)
+    start = time.perf_counter()
+    assert iso_check(chain, fan) == (None, 1200)
+    assert time.perf_counter() - start < 1.0

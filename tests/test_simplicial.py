@@ -12,7 +12,7 @@ from helpers import (RP2_TRIANGLES, alphabets, as_pairs,
                      composes_to_zero, moore3_faces, pair_route_homology,
                      random_alphabet)
 
-from tracehom import ValidationError, intlinalg, simplicial
+from tracehom import ValidationError, alphabet, intlinalg, simplicial
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
                                max_clique_size)
 from tracehom.intlinalg import (AbelianGroup, BoundaryCompositionError,
@@ -228,6 +228,22 @@ def test_clique_complex_counts_match():
             sum((-1) ** k * p for k, p in enumerate(counts[1:]))
 
 
+
+def test_clique_complex_cap_counts_the_simplices_it_would_list(monkeypatch):
+    """The complete alphabet on 4 generators has levels 4, 6, 4 and 1:
+    its 1-skeleton holds 10 simplices and the whole complex 15."""
+    alpha = IndependenceAlphabet("abcd", combinations("abcd", 2))
+    monkeypatch.setattr(alphabet, "_SIZE_CAP", 10)
+    assert clique_complex(alpha, 1).count(1) == 6
+    with pytest.raises(ValidationError) as info:
+        clique_complex(alpha)
+    assert info.value.problems == (
+        "too large: the clique complex would hold 15 simplices; "
+        "the limit is 10",)
+    monkeypatch.setattr(alphabet, "_SIZE_CAP", 9)
+    with pytest.raises(ValidationError, match="would hold 10 simplices"):
+        clique_complex(alpha, 1)
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(alphabets(max_size=8, min_size=1))
 def test_reduced_euler_characteristic_matches_homology(alpha):
@@ -361,6 +377,20 @@ def test_flagification_names_every_pair_of_faces_whose_names_collide():
         f"'a,b': {rule}",
         f"faces ('a', 'b,c') and ('a,b', 'c') both get the generator name "
         f"'a,b,c': {rule}")
+
+
+def test_flagification_face_list_cap_counts_each_distinct_face_once(
+        monkeypatch):
+    """a b, c and b a list the subfaces a, b, ab and c: the repeated face
+    counts once."""
+    faces = [("a", "b"), ("c",), ("b", "a")]
+    monkeypatch.setattr(alphabet, "_SIZE_CAP", 4)
+    assert len(barycentric_flagification(faces).generators) == 4
+    monkeypatch.setattr(alphabet, "_SIZE_CAP", 3)
+    with pytest.raises(ValidationError) as info:
+        barycentric_flagification(faces)
+    assert info.value.problems == (
+        "too large: the face list would hold 4 faces; the limit is 3",)
 
 
 def test_flagification_projective_plane():

@@ -433,6 +433,9 @@ def test_counterexample_degree_zero_agrees():
 def test_counterexample_empty_alphabet_is_degenerate():
     report = counterexample_report(IndependenceAlphabet([]))
     assert report.isomorphic
+    # nothing is forced, so x0 and then x1 take their first candidate
+    assert report.witness == {"*": "*", "x0": "x0", "x1": "x1"}
+    assert report.bijections_searched == 2
     assert report.note != ""
 
 
