@@ -28,8 +28,8 @@ reads that kind.
 from .errors import ValidationError
 
 #: the most items one listing may hold: the cliques of one level, the
-#: basis of one degree of a chain complex (``chains``), the faces of one
-#: flagified face list (``simplicial``)
+#: basis of a whole chain complex (``chains``), the simplices of a clique
+#: complex and the faces of a flagified face list (``simplicial``)
 _SIZE_CAP = 10 ** 6
 #: the most mask bits one clique level may hold, 32 MiB: a level under
 #: the size cap can still be large when its masks are long

@@ -30,9 +30,9 @@ are handed over unchecked.
 
 ``build_complex`` lists the boundaries d_0 .. d_top+1 that
 ``homology_of_complex`` takes, and nothing else: the dimension of
-degree n is the column count of d_n, and a degree of more than
-``alphabet._SIZE_CAP`` basis elements is refused before any map is
-built.  The alphabet and the image table determine the whole complex,
+degree n is the column count of d_n, and a complex of more than
+``alphabet._SIZE_CAP`` basis elements in all is refused before any map
+is built.  The alphabet and the image table determine the whole complex,
 so ``homology`` keeps its groups on the alphabet under the image table.
 Face tables, image tables and groups are all kept through
 ``alphabet._kept``.  There are no chains above the largest clique size
@@ -189,17 +189,17 @@ def build_complex(m, system, top=None):
     columns.  A lower top leaves every clique above it unlisted, a
     higher one adds zero maps, and a negative one gives [d_0] alone.
     Degree n has dimension (points of rank 1) x (n-cliques), the column
-    count of d_n; its basis is never listed.  A degree of more than
-    ``alphabet._SIZE_CAP`` basis elements raises ``ValidationError``
-    before any map is built.  That d o d = 0 is checked where homology
-    is taken.
+    count of d_n; its basis is never listed.  A complex of more than
+    ``alphabet._SIZE_CAP`` basis elements in degrees 0 .. top+1 raises
+    ``ValidationError`` before any map is built.  That d o d = 0 is
+    checked where homology is taken.
     """
     if top is None:
         top = max_clique_size(m.alphabet)
     points = len(_image_table(m, system))
-    for n, p in enumerate(clique_counts(m.alphabet, top + 1)):
-        _check_size(f"degree {n} of the chain complex", points * p,
-                    "basis elements")
+    _check_size("the chain complex",
+                points * sum(clique_counts(m.alphabet, top + 1)),
+                "basis elements")
     maps = [IntegerMatrix(0, points)]
     maps.extend(boundary_matrix(m, system, n) for n in range(1, top + 2))
     return maps
@@ -213,13 +213,13 @@ def homology(m, system, max_degree=None):
     groups raises ``ValidationError`` before anything is built.
 
     The groups are kept on the alphabet, one entry per distinct image
-    table and bound.  Equal image tables give equal boundaries, so a
-    complex that two actions or two systems share, like PUNCTURED of
-    ``x0_mset`` and of the same action under another element name, is
-    built and reduced once; each call returns a fresh list."""
+    table and resolved bound.  Equal image tables give equal boundaries,
+    so a complex that two actions or two systems share, like PUNCTURED
+    of ``x0_mset`` and of the same action under another element name,
+    is built and reduced once; each call returns a fresh list."""
     top = max_clique_size(m.alphabet) if max_degree is None else max_degree
     _check_size(f"homology up to degree {top}", top + 1, "groups")
-    key = (_image_table(m, system), max_degree)
+    key = (_image_table(m, system), top)
     return list(_kept(m.alphabet, "homology", key, _homology, m, system, top))
 
 

@@ -204,20 +204,7 @@ def cmd_verify(problem, which, fmt, max_degree):
     action table and report N-A without one.
     """
     alpha, m = _load_problem(problem, need_action=False)
-    wanted = verify.ALL_CHECKS if which == "all" else (which,)
-    reports = []
-    for name in wanted:
-        if name == "aug":
-            reports.append(verify.check_theorem_aug(alpha, max_degree))
-        elif m is None:
-            reports.append(verify.VerificationReport(
-                name, False, note="file has no action table"))
-        elif name == "split":
-            reports.append(verify.check_lemma_split(m, max_degree))
-        elif name == "power":
-            reports.append(verify.check_prop_power(m, max_degree))
-        else:
-            reports.append(verify.check_theorem_main(m, max_degree))
+    reports = verify.run_checks(which, alpha, m, max_degree)
     if fmt == "json":
         _echo(_json({"checks": [{
             "claim": r.claim,
@@ -298,7 +285,9 @@ def cmd_counterexample(problem, fmt, max_degree):
             mark = "ok" if c.ok else "MISMATCH"
             _echo(f"  H_{c.degree}: {c.lhs} = {c.rhs}  {mark}")
     if not report.isomorphic and report.homology_equal:
-        _echo("verdict: non-isomorphic actions, identical homology")
+        _echo("verdict: non-isomorphic actions, identical homology"
+              if any(report.tables.values()) else
+              "verdict: no degrees compared")
 
 
 def _build_parser():

@@ -15,7 +15,8 @@ compares canonical group descriptors degree by degree:
          degree n is the clique complex's reduced homology in n - 1.
 
 Checks whose preconditions fail report "not applicable" rather than
-passing silently.
+passing silently; ``run_checks`` picks the checks that apply.  Each
+report covers the degrees s >= 1 of the list ``chains.homology`` gives.
 
 The identities share terms.  Each term is computed once and kept on the
 alphabet through ``alphabet._kept``: the homology of an action, one
@@ -27,7 +28,7 @@ complexes, not four.  main and aug still compare a side from the
 chains route with one from the simplicial route.
 """
 
-from .alphabet import _kept, clique_counts, max_clique_size
+from .alphabet import _kept, clique_counts
 from .chains import DELTA, PUNCTURED, homology
 from .intlinalg import AbelianGroup
 from .msets import chain_mset, check_conditions, fan_mset, iso_check, x0_mset
@@ -86,10 +87,11 @@ def _reduced(alpha, max_degree):
         alpha, max_degree).reduced_homology()))
 
 
-def _degrees(alpha, max_degree):
-    if max_degree is None:
-        max_degree = max_clique_size(alpha)
-    return range(1, max_degree + 1)
+def _unmet(claim, m):
+    """The N-A report of power or main on m, None when m qualifies."""
+    conditions = check_conditions(m)
+    return None if conditions.satisfied else VerificationReport(
+        claim, False, note="; ".join(conditions.violations))
 
 
 def check_lemma_split(m, max_degree=None):
@@ -98,44 +100,39 @@ def check_lemma_split(m, max_degree=None):
     h_delta = homology(m, DELTA, max_degree)
     h_punct = homology(m, PUNCTURED, max_degree)
     comparisons = tuple(
-        DegreeComparison(s, _at(h_delta, s),
-                         _at(h_punct, s) + AbelianGroup(_count_at(counts, s)))
-        for s in _degrees(m.alphabet, max_degree))
+        DegreeComparison(s, h_delta[s],
+                         h_punct[s] + AbelianGroup(_count_at(counts, s)))
+        for s in range(1, len(h_delta)))
     return VerificationReport("split", True, comparisons)
 
 
 def check_prop_power(m, max_degree=None):
     """punctured(m) = punctured(two-point reference)^|X| under the full
     action and rooted tree conditions."""
-    conditions = check_conditions(m)
-    if not conditions.satisfied:
-        return VerificationReport("power", False,
-                                  note="; ".join(conditions.violations))
+    if unmet := _unmet("power", m):
+        return unmet
     copies = len(m.elements)
     h_m = homology(m, PUNCTURED, max_degree)
     h_ref = homology(x0_mset(m.alphabet), PUNCTURED, max_degree)
-    comparisons = tuple(
-        DegreeComparison(s, _at(h_m, s), copies * _at(h_ref, s))
-        for s in _degrees(m.alphabet, max_degree))
+    comparisons = tuple(DegreeComparison(s, h_m[s], copies * h_ref[s])
+                        for s in range(1, len(h_m)))
     return VerificationReport("power", True, comparisons)
 
 
 def check_theorem_main(m, max_degree=None):
     """delta(m) = reduced(clique complex)^|X| one degree down, plus
     Z^(p_s), under the same conditions as the power check."""
-    conditions = check_conditions(m)
-    if not conditions.satisfied:
-        return VerificationReport("main", False,
-                                  note="; ".join(conditions.violations))
+    if unmet := _unmet("main", m):
+        return unmet
     copies = len(m.elements)
     counts = clique_counts(m.alphabet, max_degree)
     h_delta = homology(m, DELTA, max_degree)
     reduced = _reduced(m.alphabet, max_degree)
     comparisons = tuple(
         DegreeComparison(
-            s, _at(h_delta, s),
+            s, h_delta[s],
             copies * _at(reduced, s - 1) + AbelianGroup(_count_at(counts, s)))
-        for s in _degrees(m.alphabet, max_degree))
+        for s in range(1, len(h_delta)))
     return VerificationReport("main", True, comparisons)
 
 
@@ -148,12 +145,26 @@ def check_theorem_aug(alpha, max_degree=None):
     h_punct = homology(x0_mset(alpha), PUNCTURED, max_degree)
     reduced = _reduced(alpha, max_degree)
     comparisons = tuple(
-        DegreeComparison(n, _at(h_punct, n), _at(reduced, n - 1))
-        for n in _degrees(alpha, max_degree))
+        DegreeComparison(n, h_punct[n], _at(reduced, n - 1))
+        for n in range(1, len(h_punct)))
     return VerificationReport("aug", True, comparisons)
 
 
 ALL_CHECKS = ("split", "power", "main", "aug")
+
+
+def run_checks(which, alpha, m, max_degree=None):
+    """Reports of the check named which, or of all of ``ALL_CHECKS``, in
+    order, when which is "all".  aug reads the alphabet alone; with m
+    None, as for a file with no action table, every other check is N-A."""
+    # looked up on each call: a tracer or a test may rebind the checks
+    on_action = {"split": check_lemma_split, "power": check_prop_power,
+                 "main": check_theorem_main}
+    return [check_theorem_aug(alpha, max_degree) if name == "aug"
+            else on_action[name](m, max_degree) if m is not None
+            else VerificationReport(name, False,
+                                    note="file has no action table")
+            for name in (ALL_CHECKS if which == "all" else (which,))]
 
 
 class CounterexampleReport(Record):
@@ -183,14 +194,13 @@ def counterexample_report(alpha, max_degree=None):
     chain = chain_mset(alpha)
     fan = fan_mset(alpha)
     witness, tried = iso_check(chain, fan)
-    top = max_clique_size(alpha) if max_degree is None else max_degree
     tables = {}
     for system in (DELTA, PUNCTURED):
         h_chain = homology(chain, system, max_degree)
         h_fan = homology(fan, system, max_degree)
         tables[system.name] = tuple(
-            DegreeComparison(s, _at(h_chain, s), _at(h_fan, s))
-            for s in range(top + 1))
+            DegreeComparison(s, a, b)
+            for s, (a, b) in enumerate(zip(h_chain, h_fan)))
     note = ""
     if not alpha.generators:
         note = ("no generators: both actions degenerate to the same "

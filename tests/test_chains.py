@@ -420,6 +420,27 @@ def test_equal_image_tables_share_one_kept_entry(monkeypatch):
     assert len(built) == len(alpha._kept["homology"]) == 4
 
 
+def test_no_bound_and_the_largest_clique_size_share_one_entry(monkeypatch):
+    """homology keys its groups by the bound it resolved, so asking with
+    no bound and with w = 2, in either order, builds one complex."""
+    built = []
+    build = chains.build_complex
+
+    def counting(m, system, top=None):
+        built.append(top)
+        return build(m, system, top)
+
+    monkeypatch.setattr(chains, "build_complex", counting)
+    for bounds in ((None, 2), (2, None)):
+        alpha = IndependenceAlphabet(
+            "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        m = x0_mset(alpha)
+        assert [homology(m, DELTA, b) for b in bounds] == \
+            [[Z, 4 * Z, 5 * Z]] * 2
+        assert len(alpha._kept["homology"]) == 1
+    assert built == [2, 2]
+
+
 def test_one_image_table_per_action_and_system(monkeypatch):
     """The image table is kept on the action: homology, build_complex and
     every boundary read the one built first, and a result read back

@@ -23,6 +23,7 @@ from tracehom.intlinalg import AbelianGroup
 from tracehom.cli import _json, main
 from tracehom.msets import PointedMSet
 from tracehom.alphabet import IndependenceAlphabet
+from tracehom.simplicial import barycentric_flagification, read_face_list
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -95,15 +96,16 @@ def test_homology_max_degree_truncates():
     assert "H_2" not in result.stdout
 
 
-def complete_alphabet_file(tmp_path, n):
-    """One element sent to the basepoint by every generator of a complete
-    alphabet on n generators, which has 2^n cliques."""
+def complete_alphabet_file(tmp_path, n, elements=("x0",)):
+    """Each of the elements (by default one) sent to the basepoint by
+    every generator of a complete alphabet on n generators, which has 2^n
+    cliques."""
     gens = [f"e{k}" for k in range(n)]
-    return write(tmp_path, f"complete{n}.json", {
+    return write(tmp_path, f"complete{n}_{len(elements)}.json", {
         "generators": gens,
         "independence": list(combinations(gens, 2)),
-        "elements": ["x0"],
-        "action": {"x0": {g: "*" for g in gens}},
+        "elements": list(elements),
+        "action": {x: {g: "*" for g in gens} for x in elements},
     })
 
 
@@ -213,6 +215,28 @@ def test_schema_flagify_of_an_8_vertex_face_stops_at_the_complex_cap(
         f"the limit is {alphabet._SIZE_CAP}"]
     assert elapsed < 2.0
 
+
+def test_verify_over_an_8_vertex_face_stops_at_the_chain_complex_cap(
+        tmp_path):
+    """The two-point action over the same 255 generators: its DELTA
+    complex has 2 rank-1 points times the 1 + 1,091,669 cliques of every
+    degree.  split, the first check, exits 2 before any map is built."""
+    alpha = barycentric_flagification(read_face_list("a b c d e f g h\n"))
+    gens = list(alpha.generators)
+    path = write(tmp_path, "face8.json", {
+        "generators": gens, "independence": [list(p) for p in alpha.pairs],
+        "elements": ["x0"], "action": {"x0": {g: "*" for g in gens}}})
+    start = time.perf_counter()
+    result = run_capped("verify", path)
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: too large: the chain complex would hold 2183340 basis "
+        f"elements; the limit is {alphabet._SIZE_CAP}"]
+    assert elapsed < 2.0
+
+
 def test_mask_bits_cap_admits_its_limit_and_refuses_one_more(tmp_path,
                                                              monkeypatch):
     """On the complete alphabet of 4 generators the masks of level 1, of
@@ -251,19 +275,20 @@ def test_max_degree_past_the_size_cap_exits_2(tmp_path, command):
 
 def _size_cap_cases(tmp_path):
     """(argv, the largest listing, its error) for each of the four size
-    checks: a clique level (levels [1, 4, 6, 4, 1], of which punctured
-    homology lists no more than 6 in a degree), a degree of the chain
-    complex (2 rank-1 points times 4 cliques in degree 1), a face list
-    (a and b; the repeated line counts once) and a clique complex (the
-    4 + 6 + 4 + 1 simplices of the same levels)."""
-    complete = complete_alphabet_file(tmp_path, 4)
+    checks: a clique level (levels [1, 4, 6, 4, 1]; the action has no
+    elements, so its punctured complex has no basis at all and level 2
+    is the largest listing), a chain complex (2 rank-1 points times the
+    1 + 4 + 4 cliques of every degree), a face list (a and b; the
+    repeated line counts once) and a clique complex (the 4 + 6 + 4 + 1
+    simplices of the same levels)."""
+    complete = complete_alphabet_file(tmp_path, 4, elements=())
     faces = write(tmp_path, "faces.txt", "a\nb\na\n")
     return [
         (("homology", complete, "--coeff", "punctured"), 6,
          "error: too large: clique level 2 would hold 6 cliques"),
-        (("homology", PROBLEMS / "x0_cycle4.json"), 8,
-         "error: too large: degree 1 of the chain complex would hold 8 "
-         "basis elements"),
+        (("homology", PROBLEMS / "x0_cycle4.json"), 18,
+         "error: too large: the chain complex would hold 18 basis "
+         "elements"),
         (("schema", faces, "--flagify"), 2,
          f"error: {faces}: too large: the face list would hold 2 faces"),
         (("schema", complete), 15,
@@ -573,6 +598,23 @@ def test_counterexample_json():
     assert payload["homology_equal"] is True
     degree2 = payload["tables"]["delta"][2]
     assert degree2["chain"] == degree2["fan"] == {"rank": 6, "torsion": []}
+
+
+@pytest.mark.parametrize("bound", [-1, -2])
+def test_counterexample_negative_bound_compares_no_degrees(bound):
+    """With no degree in either table the verdict claims nothing; the
+    JSON report keeps its empty tables as they were."""
+    result = run("counterexample", PROBLEMS / "cycle4.json",
+                 "--max-degree", bound)
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[-3:] == [
+        "delta:", "punctured:", "verdict: no degrees compared"]
+    payload = json.loads(run("counterexample", PROBLEMS / "cycle4.json",
+                             "--max-degree", bound, "--format",
+                             "json").stdout)
+    assert payload["tables"] == {"delta": [], "punctured": []}
+    assert payload["isomorphic"] is False
+    assert payload["homology_equal"] is True
 
 
 def test_counterexample_empty_alphabet(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from helpers import (alphabets, moore3_faces, random_alphabet, random_mset,
                      sd2_rp2)
 
-from tracehom import chains, cli, intlinalg, simplicial
+from tracehom import chains, cli, intlinalg, simplicial, verify
 from tracehom.alphabet import IndependenceAlphabet
 from tracehom.intlinalg import AbelianGroup
 from tracehom.msets import (BASEPOINT, ConditionsReport, PointedMSet,
@@ -17,7 +17,8 @@ from tracehom.verify import (ALL_CHECKS, CounterexampleReport,
                              DegreeComparison, VerificationReport,
                              check_lemma_split,
                              check_prop_power, check_theorem_aug,
-                             check_theorem_main, counterexample_report)
+                             check_theorem_main, counterexample_report,
+                             run_checks)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -99,6 +100,43 @@ def test_reports_are_immutable_records():
 
 def test_all_checks_registry():
     assert ALL_CHECKS == ("split", "power", "main", "aug")
+
+
+def test_run_checks_on_an_alphabet_alone():
+    """Without an action aug still runs, and every other check is N-A."""
+    reports = run_checks("all", CYCLE4, None)
+    assert [r.claim for r in reports] == list(ALL_CHECKS)
+    assert [r.status for r in reports] == ["N-A", "N-A", "N-A", "PASS"]
+    assert {r.note for r in reports[:3]} == {"file has no action table"}
+    assert reports[3] == check_theorem_aug(CYCLE4)
+    assert run_checks("main", CYCLE4, None) == reports[2:3]
+    assert run_checks("aug", CYCLE4, None, 1) == \
+        [check_theorem_aug(CYCLE4, 1)]
+
+
+@pytest.mark.parametrize("bound", [None, -1, 0, 1, 3])
+def test_run_checks_gives_each_check_its_own_report(bound):
+    m = fan_of_three(CYCLE4)
+    assert run_checks("all", CYCLE4, m, bound) == [
+        check_lemma_split(m, bound), check_prop_power(m, bound),
+        check_theorem_main(m, bound), check_theorem_aug(CYCLE4, bound)]
+    assert run_checks("power", CYCLE4, m, bound) == \
+        [check_prop_power(m, bound)]
+
+
+def test_run_checks_calls_the_checks_bound_at_call_time(monkeypatch):
+    """A tracer rebinds the check functions in this module after import;
+    the entry point still goes through the rebound ones."""
+    called = []
+    for name in ("check_lemma_split", "check_prop_power",
+                 "check_theorem_main", "check_theorem_aug"):
+        def rebound(*args, _name=name, _check=getattr(verify, name)):
+            called.append(_name)
+            return _check(*args)
+        monkeypatch.setattr(verify, name, rebound)
+    run_checks("all", CYCLE4, x0_mset(CYCLE4))
+    assert called == ["check_lemma_split", "check_prop_power",
+                      "check_theorem_main", "check_theorem_aug"]
 
 
 # --- split ----------------------------------------------------------------
