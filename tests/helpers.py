@@ -2,6 +2,8 @@
 generators.  The oracles here deliberately avoid the code paths they
 check."""
 
+import signal
+from contextlib import contextmanager
 from itertools import combinations, permutations
 from math import gcd
 
@@ -15,6 +17,26 @@ from tracehom import (BASEPOINT, IndependenceAlphabet, IntegerMatrix,
 #: the six-vertex triangulation of the projective plane
 RP2_TRIANGLES = ["124", "126", "134", "135", "156",
                  "235", "236", "245", "346", "456"]
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError inside the block once it has run for seconds
+    of wall time, so a test whose work blows up fails instead of hanging.
+
+    It sets the real-time interval timer, so it works only in the main
+    thread, on a platform with SIGALRM, around a block that sets no timer
+    of its own."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def moore3_faces():

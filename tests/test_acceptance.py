@@ -13,7 +13,7 @@ from math import comb
 
 from helpers import (RP2_TRIANGLES, bareiss_rank, random_alphabet,
                      random_matrix, random_mset, relabel_elements,
-                     sd2_rp2, shuffle_generators)
+                     sd2_rp2, shuffle_generators, time_limit)
 
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
                                max_clique_size)
@@ -32,9 +32,15 @@ ZERO = AbelianGroup(0)
 
 @contextmanager
 def criterion(name, budget=None):
+    """Print the criterion's verdict; with a budget, assert it, and stop
+    the block with TimeoutError at three times the budget."""
     start = time.perf_counter()
     try:
-        yield
+        if budget is None:
+            yield
+        else:
+            with time_limit(3 * budget):
+                yield
     except BaseException:
         print(f"[FAIL] {name}")
         raise

@@ -9,7 +9,7 @@ from helpers import (as_pairs, assert_column_storage, bareiss_rank,
                      change_one_entry, composes_to_zero, dense,
                      dense_product, determinantal_factors,
                      diagonal_complexes, diagonalize, divisor_chain,
-                     random_matrix, sd2_rp2)
+                     random_matrix, sd2_rp2, time_limit)
 
 from tracehom import intlinalg
 from tracehom.chains import DELTA, boundary_matrix
@@ -392,7 +392,8 @@ def test_snf_reduces_a_large_block_without_unit_entries_sparse():
     entries = {(i, i): 2 for i in range(n)}
     entries.update({(i, (i + 1) % n): 4 for i in range(0, n, 3)})
     start = time.perf_counter()
-    result = smith_normal_form(IntegerMatrix(n, n, entries))
+    with time_limit(30):
+        result = smith_normal_form(IntegerMatrix(n, n, entries))
     assert time.perf_counter() - start < 3.0
     assert result.invariant_factors == (2,) * n
     assert (result.pivot_rows, result.leftover) == ((), (n, n))
@@ -568,7 +569,8 @@ def test_group_torsion_matches_minor_gcd_oracle():
 
 def test_group_large_prime_torsion_without_factoring():
     start = time.perf_counter()
-    g = AbelianGroup(0, (2 ** 89 - 1,))
+    with time_limit(10):
+        g = AbelianGroup(0, (2 ** 89 - 1,))
     assert time.perf_counter() - start < 1.0
     assert g.torsion == (2 ** 89 - 1,)
     assert AbelianGroup(0, (2 ** 89 - 1, 2)).torsion == (2 * (2 ** 89 - 1),)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 from helpers import (actions, alphabets, brute_force_iso, random_alphabet,
-                     random_mset, relabel_elements)
+                     random_mset, relabel_elements, time_limit)
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -337,12 +337,26 @@ def _fan_and_chain(n):
     return fan, chain
 
 
+def test_time_limit_stops_a_block_that_runs_past_it():
+    start = time.perf_counter()
+    with pytest.raises(TimeoutError):
+        with time_limit(0.05):
+            while True:
+                pass
+    assert time.perf_counter() - start < 1.0
+    with time_limit(0.05):
+        pass
+    # the timer was cleared when the block ended
+    time.sleep(0.1)
+
+
 def test_iso_of_a_long_fan_with_itself_needs_no_recursion():
     """1,200 elements, more than the default recursion limit: one
     assignment per element, each holding at once."""
     fan, _ = _fan_and_chain(1200)
     start = time.perf_counter()
-    witness, tried = iso_check(fan, fan)
+    with time_limit(10):
+        witness, tried = iso_check(fan, fan)
     assert time.perf_counter() - start < 1.0
     assert witness == {x: x for x in fan.carrier}
     assert tried == 1200
@@ -353,5 +367,6 @@ def test_iso_rejects_a_long_chain_against_a_long_fan():
     not fixed while each fan element goes to the basepoint."""
     fan, chain = _fan_and_chain(1200)
     start = time.perf_counter()
-    assert iso_check(chain, fan) == (None, 1200)
+    with time_limit(10):
+        assert iso_check(chain, fan) == (None, 1200)
     assert time.perf_counter() - start < 1.0
