@@ -11,13 +11,14 @@ k-clique carries the mask of the later generators independent of all
 its members, and its children are the clique plus each bit of that
 mask, in ascending order, so every level is in lexicographic order of
 member indices.  ``_next_level`` is the one place that turns a mask
-into children.  As it grows a level it records, per new clique, the
-position of the clique it extends and the generator it adds; names and
-the face tables of ``chains`` are built from that record alone.  The
-size of a level is the number of set bits in the masks below it, so it
-is known before the level is grown, and a level of more than
-``_SIZE_CAP`` cliques is refused with a ``ValidationError`` before
-anything is listed.
+into children.  Each level is one record (masks, parents, added): per
+clique, its mask, the position of the clique it extends one level down
+and the generator it adds.  Only this module reads that record; the
+cliques as name tuples and the face tables of ``chains`` are built from
+it and kept through ``_kept``.  The size of a level is the number of
+set bits in the masks below it, so it is known before the level is
+grown, and a level of more than ``_SIZE_CAP`` cliques is refused with a
+``ValidationError`` before anything is listed.
 
 Every other term derived from an alphabet or an action is kept on it
 through ``_kept``, in one table per owner: a kind, named by the module
@@ -57,8 +58,7 @@ def _check_size(where, count, unit, cap=None):
 class IndependenceAlphabet:
     """Generators in declaration order plus unordered independence pairs."""
 
-    __slots__ = ("generators", "pairs", "_index", "_cliques", "_grown",
-                 "_names", "_kept")
+    __slots__ = ("generators", "pairs", "_index", "_cliques", "_kept")
 
     def __init__(self, generators, independence=()):
         problems = []
@@ -99,15 +99,12 @@ class IndependenceAlphabet:
         later = [0] * len(gens)
         for a, b in pairs:
             later[index[a]] |= 1 << index[b]
-        # clique table: level k holds, per k-clique in lexicographic
-        # order, the bitmask of later generators independent of all its
-        # members, and _grown beside it what _next_level recorded.  The
-        # 1-cliques' masks are the later-neighbour masks themselves.
-        # Higher levels are added on demand by _level, and the cliques
-        # as name tuples only when enumerate_cliques asks.
-        self._cliques = [[(1 << len(gens)) - 1], later]
-        self._grown = [([], []), ([0] * len(gens), list(range(len(gens))))]
-        self._names = [[()]]
+        # clique table: level k is the record of the k-cliques, as
+        # _next_level gives it.  The 1-cliques' masks are the
+        # later-neighbour masks themselves, and their parent is the
+        # empty clique.  Higher levels are added on demand by _level.
+        self._cliques = [([(1 << len(gens)) - 1], [], []),
+                         (later, [0] * len(gens), list(range(len(gens))))]
         # terms other code derives from the alphabet, by kind and key
         self._kept = {}
 
@@ -120,7 +117,7 @@ class IndependenceAlphabet:
     def independent(self, a, b):
         # bit j of the later-neighbour mask of i, for i <= j
         i, j = sorted((self.index(a), self.index(b)))
-        return bool(self._cliques[1][i] >> j & 1)
+        return bool(self._cliques[1][0][i] >> j & 1)
 
     def __eq__(self, other):
         if not isinstance(other, IndependenceAlphabet):
@@ -134,11 +131,11 @@ class IndependenceAlphabet:
 
 
 def _next_level(later, masks):
-    """The masks of the (k+1)-cliques from those of the k-cliques: each
-    clique is extended by every bit of its mask, in ascending order, so
-    the new level is again in lexicographic order of member indices.
-    Also the record of the new level: per clique, the position p of the
-    clique it extends and the generator j it adds, as two lists."""
+    """The record of the (k+1)-cliques from the masks of the k-cliques:
+    each clique is extended by every bit of its mask, in ascending order,
+    so the new level is again in lexicographic order of member indices.
+    Per new clique the record holds its mask, the position p of the
+    clique it extends and the generator j it adds, as three lists."""
     out, parents, added = [], [], []
     for p, mask in enumerate(masks):
         while mask:
@@ -148,7 +145,29 @@ def _next_level(later, masks):
             parents.append(p)
             added.append(j)
             out.append(mask & later[j])
-    return out, (parents, added)
+    return out, parents, added
+
+
+def _level(alpha, k):
+    """The kept record (masks, parents, added) of the k-cliques (k >= 0),
+    grown on demand; each list holds one entry per clique, and past the
+    largest clique size they are empty.  It is not a copy: callers read
+    it and must not change it.  A level of more than ``_SIZE_CAP``
+    cliques, or of masks that may hold more than ``_MASK_BITS_CAP``
+    bits, raises ``ValidationError`` before it is grown.  A clique with
+    mask m has m.bit_count() children, each with a mask no longer than
+    m, so the level below bounds those bits."""
+    table = alpha._cliques
+    while len(table) <= k and table[-1][0]:
+        masks = table[-1][0]
+        where = f"clique level {len(table)}"
+        _check_size(where, sum(mask.bit_count() for mask in masks),
+                    "cliques")
+        _check_size(where, sum(mask.bit_count() * mask.bit_length()
+                               for mask in masks),
+                    "mask bits at most", _MASK_BITS_CAP)
+        table.append(_next_level(table[1][0], masks))
+    return table[k] if k < len(table) else ((), (), ())
 
 
 def enumerate_cliques(alpha, k):
@@ -156,54 +175,48 @@ def enumerate_cliques(alpha, k):
     declaration order, listed in lexicographic order of member indices.
 
     k = 0 gives the single empty clique.  Levels are computed once per
-    alphabet, up to the largest k asked for, and kept on it; each call
-    returns a fresh list.
+    alphabet, up to the largest k asked for, and kept on it, and so are
+    the names of each level asked for; each call returns a fresh list.
     """
     if k < 0:
         raise ValueError(f"negative clique size {k}")
-    names, gens = alpha._names, alpha.generators
-    while len(names) <= k and names[-1]:
-        parents, added = _growth(alpha, len(names))
-        below = names[-1]
-        names.append([below[p] + (gens[j],) for p, j in zip(parents, added)])
-    return list(names[k]) if k < len(names) else []
+    return list(_kept(alpha, "names", k, _clique_names, alpha, k))
 
 
-def _level(alpha, k):
-    """The kept masks of the k-cliques (k >= 0), grown on demand; one
-    per clique, so the level's length is its clique count.  It is not a
-    copy: callers read it and must not change it.  A level of more than
-    ``_SIZE_CAP`` cliques, or of masks that may hold more than
-    ``_MASK_BITS_CAP`` bits, raises ``ValidationError`` before it is
-    grown.  A clique with mask m has m.bit_count() children, each with a
-    mask no longer than m, so the level below bounds those bits."""
-    table = alpha._cliques
-    while len(table) <= k and table[-1]:
-        where = f"clique level {len(table)}"
-        _check_size(where, sum(mask.bit_count() for mask in table[-1]),
-                    "cliques")
-        _check_size(where, sum(mask.bit_count() * mask.bit_length()
-                               for mask in table[-1]),
-                    "mask bits at most", _MASK_BITS_CAP)
-        masks, grown = _next_level(table[1], table[-1])
-        table.append(masks)
-        alpha._grown.append(grown)
-    return table[k] if k < len(table) else ()
+def _clique_names(alpha, k):
+    # clique (p, j) of level k is clique p of level k-1 plus generator j
+    _, parents, added = _level(alpha, k)
+    if not parents:
+        return [()] if k == 0 else []
+    below = _kept(alpha, "names", k - 1, _clique_names, alpha, k - 1)
+    gens = alpha.generators
+    return [below[p] + (gens[j],) for p, j in zip(parents, added)]
 
 
-def _growth(alpha, k):
-    """The record of level k (k >= 0), grown on demand: the kept lists
-    of each k-clique's parent p in level k-1 and added generator j."""
-    _level(alpha, k)
-    return alpha._grown[k] if k < len(alpha._grown) else ((), ())
+def _face_table(alpha, degree):
+    """The face table of the n-cliques (n >= 1): per n-clique, (face
+    index, generator position, sign) for s = 0 .. n-1, the sign being
+    (-1)^(s+1).  Built once per degree and kept on the alphabet.
+
+    Clique (p, j) of level n extends clique p of level n-1 by generator
+    j.  Its faces are the children (f, j) of the faces f of p, with the
+    generator and sign of f, and p itself, without j, with the sign
+    (-1)^n.  No clique is named."""
+    return _kept(alpha, "faces", degree, _faces, alpha, degree)
 
 
-def _position(alpha, k):
-    """A dict from the (p, j) of each k-clique to its position in level
-    k, built once per level and kept."""
-    parents, added = _growth(alpha, k)
-    return _kept(alpha, "position", k, dict,
-                 zip(zip(parents, added), range(len(parents))))
+def _faces(alpha, degree):
+    _, parents, added = _level(alpha, degree)
+    if not parents:
+        return []
+    # the empty clique has no faces
+    below = _face_table(alpha, degree - 1) if degree > 1 else [[]]
+    # position in level n-1 of the clique with each (parent, generator)
+    _, up, gen = _level(alpha, degree - 1)
+    child = dict(zip(zip(up, gen), range(len(up))))
+    sign = 1 if degree % 2 == 0 else -1
+    return [[(child[f, j], s, sg) for f, s, sg in below[p]] + [(p, j, sign)]
+            for p, j in zip(parents, added)]
 
 
 def clique_counts(alpha, top=None):
@@ -215,7 +228,7 @@ def clique_counts(alpha, top=None):
     """
     counts = [1]
     while top is None or len(counts) <= top:
-        n = len(_level(alpha, len(counts)))
+        n = len(_level(alpha, len(counts))[0])
         if not n:
             break
         counts.append(n)

@@ -13,20 +13,21 @@ basepoint-punctured, and the basepoint-only cases.
 
 Bases are element-major: with p_n the number of n-cliques, basis
 element (point k, clique c) of degree n sits at index k * p_n + c.  A
-boundary is assembled from a face table, built once per degree from
-the alphabet's growth record and kept on the alphabet: for each
-n-clique, the index of each face K minus e_s in level n-1, the
-generator e_s and the sign.  Rows and columns are then index
-arithmetic on the action's image table (each rank-1 point's images
-under the generators, as basis positions), which is built once per
-coefficient system and kept on the action.  The two terms of a face
-cancel when x.e_s = x and are left out; no other two terms of a column
-share a row, so each entry is stored once, as +-1, into one row-keyed
-dict per column.  A column left empty is not stored.  A boundary with
-no n-cliques, or with every rank-1 point fixed by every generator, is
-zero and is returned without a face table.  Only the public
-``IntegerMatrix`` constructor validates entries; the builder's columns
-are handed over unchecked.
+boundary is assembled from the face table of the n-cliques, which
+``alphabet._face_table`` builds once per degree and keeps on the
+alphabet: for each n-clique, the index of each face K minus e_s in
+level n-1, the generator e_s and the sign.  This module reads the
+clique table through that table and the clique counts alone.  Rows and
+columns are then index arithmetic on the action's image table (each
+rank-1 point's images under the generators, as basis positions), which
+is built once per coefficient system and kept on the action.  The two
+terms of a face cancel when x.e_s = x and are left out; no other two
+terms of a column share a row, so each entry is stored once, as +-1,
+into one row-keyed dict per column.  A column left empty is not
+stored.  A boundary with no n-cliques, or with every rank-1 point
+fixed by every generator, is zero and is returned without a face
+table.  Only the public ``IntegerMatrix`` constructor validates
+entries; the builder's columns are handed over unchecked.
 
 ``build_complex`` lists the boundaries d_0 .. d_top+1 that
 ``homology_of_complex`` takes, and nothing else: the dimension of
@@ -41,8 +42,8 @@ groups with zeros; a bound that would report more than
 ``alphabet._SIZE_CAP`` groups is refused.
 """
 
-from .alphabet import (_check_size, _growth, _kept, _level, _position,
-                       clique_counts, enumerate_cliques, max_clique_size)
+from .alphabet import (_check_size, _face_table, _kept, clique_counts,
+                       enumerate_cliques, max_clique_size)
 from .intlinalg import AbelianGroup, IntegerMatrix, homology_of_complex
 from .msets import BASEPOINT as STAR
 
@@ -116,31 +117,6 @@ def _images(m, system):
     return tuple(table)
 
 
-def _face_table(alpha, degree):
-    """p_{n-1} and the face table of the n-cliques: per n-clique, (face
-    index, generator position, sign) for s = 0 .. n-1, the sign being
-    (-1)^(s+1).  Built once per degree and kept on the alphabet.
-
-    Clique (p, j) of level n extends clique p of level n-1 by generator
-    j.  Its faces are the children (f, j) of the faces f of p, with the
-    generator and sign of f, and p itself, without j, with the sign
-    (-1)^n.  No clique is listed."""
-    return _kept(alpha, "faces", degree, _faces, alpha, degree)
-
-
-def _faces(alpha, degree):
-    parents, added = _growth(alpha, degree)
-    faces = []
-    if parents:
-        # the empty clique has no faces
-        below = _face_table(alpha, degree - 1)[1] if degree > 1 else [[]]
-        child = _position(alpha, degree - 1)
-        sign = 1 if degree % 2 == 0 else -1
-        faces = [[(child[f, j], s, sg) for f, s, sg in below[p]]
-                 + [(p, j, sign)] for p, j in zip(parents, added)]
-    return len(_level(alpha, degree - 1)), faces
-
-
 def boundary_matrix(m, system, degree):
     """Matrix of the degree-n boundary over the degree n-1 basis, filled
     column by column from the face table of the n-cliques (see the
@@ -149,14 +125,14 @@ def boundary_matrix(m, system, degree):
         raise ValueError(f"boundary needs degree >= 1, got {degree}")
     alpha = m.alphabet
     images = _image_table(m, system)
-    p_lo = len(_level(alpha, degree - 1))
-    p_up = len(_level(alpha, degree))
+    # the clique counts of levels n-1 and n, zero above the largest
+    p_lo, p_up = (clique_counts(alpha, degree)[degree - 1:] + [0, 0])[:2]
     shape = len(images) * p_lo, len(images) * p_up
     fixed = (-1,) * len(alpha.generators)
     if not p_up or all(image == fixed for image in images):
         # no columns, or every face's two terms cancel at every point
         return IntegerMatrix._unchecked(*shape, {})
-    faces = _face_table(alpha, degree)[1]
+    faces = _face_table(alpha, degree)
     columns = {}
     for k, image in enumerate(images):
         if image == fixed:

@@ -89,7 +89,8 @@ def _read_text(path):
 def _load_document(path):
     try:
         doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the parser can follow
         _die([f"{path}: {exc}"])
     if not isinstance(doc, dict):
         _die([f"{path}: top level must be a JSON object"])

@@ -22,7 +22,8 @@ The identities share terms.  Each term is computed once and kept on the
 alphabet through ``alphabet._kept``: the homology of an action, one
 entry per distinct image table (see ``chains.homology``), the two-point
 reference and, kept by this module, the clique complex's reduced
-homology per degree bound.  On the two-point action itself, its
+homology per resolved degree bound, read off the list
+``chains.homology`` gave.  On the two-point action itself, its
 PUNCTURED complex is the reference's, so ``verify all`` reduces three
 complexes, not four.  main and aug still compare a side from the
 chains route with one from the simplicial route.
@@ -80,11 +81,13 @@ def _count_at(counts, s):
     return counts[s] if s < len(counts) else 0
 
 
-def _reduced(alpha, max_degree):
-    """Reduced homology of the clique complex up to max_degree, by the
-    simplicial route; computed once per bound and kept on the alphabet."""
-    return list(_kept(alpha, "reduced", max_degree, lambda: clique_complex(
-        alpha, max_degree).reduced_homology()))
+def _reduced(alpha, groups):
+    """Reduced homology of the clique complex up to the top degree of
+    groups, a list ``chains.homology`` gave, by the simplicial route;
+    computed once per resolved bound and kept on the alphabet."""
+    top = len(groups) - 1
+    return list(_kept(alpha, "reduced", top, lambda: clique_complex(
+        alpha, top).reduced_homology()))
 
 
 def _unmet(claim, m):
@@ -127,7 +130,7 @@ def check_theorem_main(m, max_degree=None):
     copies = len(m.elements)
     counts = clique_counts(m.alphabet, max_degree)
     h_delta = homology(m, DELTA, max_degree)
-    reduced = _reduced(m.alphabet, max_degree)
+    reduced = _reduced(m.alphabet, h_delta)
     comparisons = tuple(
         DegreeComparison(
             s, h_delta[s],
@@ -143,7 +146,7 @@ def check_theorem_aug(alpha, max_degree=None):
     The two sides go through the two independent boundary
     implementations (chains vs simplicial)."""
     h_punct = homology(x0_mset(alpha), PUNCTURED, max_degree)
-    reduced = _reduced(alpha, max_degree)
+    reduced = _reduced(alpha, h_punct)
     comparisons = tuple(
         DegreeComparison(n, h_punct[n], _at(reduced, n - 1))
         for n in range(1, len(h_punct)))

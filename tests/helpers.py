@@ -604,16 +604,15 @@ def reference_boundary(m, system, degree):
 
 
 def reference_face_table(alpha, degree):
-    """p_{n-1} and the face table of the n-cliques, as
-    ``chains._face_table`` gives it, found from the cliques as name
-    tuples: each face K minus e_s is looked up by name in level n-1."""
-    lower = enumerate_cliques(alpha, degree - 1)
+    """The face table of the n-cliques, as ``alphabet._face_table``
+    gives it, found from the cliques as name tuples: each face K minus
+    e_s is looked up by name in level n-1."""
     position = {g: s for s, g in enumerate(alpha.generators)}
-    face_index = {K: f for f, K in enumerate(lower)}
-    faces = [[(face_index[K[:s] + K[s + 1:]], position[K[s]],
-               1 if s % 2 else -1) for s in range(len(K))]
-             for K in enumerate_cliques(alpha, degree)]
-    return len(lower), faces
+    face_index = {K: f for f, K in
+                  enumerate(enumerate_cliques(alpha, degree - 1))}
+    return [[(face_index[K[:s] + K[s + 1:]], position[K[s]],
+              1 if s % 2 else -1) for s in range(len(K))]
+            for K in enumerate_cliques(alpha, degree)]
 
 
 def random_mset(rng, alpha, max_elements=4):

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from helpers import alphabets, brute_force_cliques, random_alphabet
 
 from tracehom import ValidationError
-from tracehom.alphabet import (IndependenceAlphabet, _growth, _position,
-                               clique_counts, enumerate_cliques,
-                               max_clique_size)
+from tracehom.alphabet import (IndependenceAlphabet, _level, clique_counts,
+                               enumerate_cliques, max_clique_size)
 from tracehom.simplicial import barycentric_flagification, read_face_list
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -135,18 +134,20 @@ def test_clique_table_matches_brute_force_in_order(data):
 @given(alphabets(max_size=10))
 def test_growth_record_rebuilds_each_clique(alpha):
     """Level by level, the recorded parent and generator of each clique
-    rebuild it from the brute-force cliques one level down, the lookup
-    gives back each clique's position, and the named levels equal the
-    brute-force ones."""
+    rebuild it from the brute-force cliques one level down, its mask
+    holds the later generators independent of all its members, and the
+    named levels equal the brute-force ones."""
     gens = alpha.generators
     below = [()]
     for k in range(1, len(gens) + 2):
-        parents, added = _growth(alpha, k)
+        masks, parents, added = _level(alpha, k)
         level = brute_force_cliques(alpha, k)
         assert [below[p] + (gens[j],) for p, j in zip(parents, added)] == \
             level
-        assert _position(alpha, k) == {pair: c for c, pair
-                                       in enumerate(zip(parents, added))}
+        assert list(masks) == [
+            sum(1 << j for j in range(alpha.index(K[-1]) + 1, len(gens))
+                if all(alpha.independent(g, gens[j]) for g in K))
+            for K in level]
         assert enumerate_cliques(alpha, k) == level
         below = level
 

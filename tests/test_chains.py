@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 from itertools import combinations
@@ -476,7 +477,7 @@ def test_face_tables_from_masks_match_name_tuples(data):
     fresh = IndependenceAlphabet(alpha.generators, alpha.pairs)
     degrees = data.draw(st.permutations(range(1, len(alpha.generators) + 3)))
     for n in degrees:
-        assert chains._face_table(alpha, n) == \
+        assert alphabet._face_table(alpha, n) == \
             reference_face_table(fresh, n), n
 
 
@@ -484,20 +485,19 @@ def test_face_tables_from_masks_on_sd2_rp2():
     alpha = sd2_rp2()
     fresh = IndependenceAlphabet(alpha.generators, alpha.pairs)
     for n in range(1, 6):
-        assert chains._face_table(alpha, n) == \
+        assert alphabet._face_table(alpha, n) == \
             reference_face_table(fresh, n), n
-    # the homology path builds the tables without listing a clique
-    assert alpha._names == [[()]]
+    # the homology path builds the tables without naming a clique
+    assert "names" not in alpha._kept
     kept = alpha._kept["faces"]
-    assert [len(faces) for _, faces in map(kept.get, range(1, 5))] == \
-        [181, 540, 360, 0]
+    assert [len(kept[n]) for n in range(1, 5)] == [181, 540, 360, 0]
 
 
-def test_each_level_position_lookup_is_built_once(monkeypatch):
-    """The face table of degree n reads the (parent, generator) ->
-    position lookup of level n - 1 alone.  Each lookup is built once and
-    kept, in whatever order the degrees are asked for, and homology
-    builds none again."""
+def test_each_face_table_is_built_once(monkeypatch):
+    """The face table of degree n is built from the growth records of
+    levels n and n - 1 and the face table of degree n - 1.  Each table
+    is built once and kept, in whatever order the degrees are asked
+    for, and homology builds none again."""
     built = []
     kept = alphabet._kept
 
@@ -511,10 +511,29 @@ def test_each_level_position_lookup_is_built_once(monkeypatch):
     gens = [f"e{k}" for k in range(5)]
     alpha = IndependenceAlphabet(gens, combinations(gens, 2))
     for n in (3, 1, 5, 2, 6, 4):
-        chains._face_table(alpha, n)
+        alphabet._face_table(alpha, n)
+    assert sorted(built) == [("faces", n) for n in range(1, 7)]
     homology(x0_mset(alpha), DELTA)
-    assert sorted(built) == [("position", k) for k in range(5)]
+    assert sorted(built) == [("faces", n) for n in range(1, 7)]
 
+
+
+def test_chains_reads_the_clique_table_through_alphabet_alone():
+    """Only ``alphabet`` knows the layout of a clique level's record:
+    chains.py imports from it no more than these names."""
+    tree = ast.parse(Path(chains.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported += [f"{base}.{alias.name}" for alias in node.names]
+    # a module imported whole ends in "alphabet" and fails the comparison
+    assert {name.rpartition(".")[2] for name in imported
+            if "alphabet" in name.split(".")} == {
+        "_check_size", "_face_table", "_kept", "clique_counts",
+        "enumerate_cliques", "max_clique_size"}
 
 def test_bounded_complex_lists_no_higher_clique():
     """top=1 needs d_2, whose columns are the 2-cliques: levels 0 to 2
@@ -525,9 +544,8 @@ def test_bounded_complex_lists_no_higher_clique():
     m = x0_mset(IndependenceAlphabet(gens, combinations(gens, 2)))
     maps = build_complex(m, DELTA, top=1)
     assert len(maps) - 2 == 1
-    assert [len(level) for level in m.alphabet._cliques] == [1, 6, 15]
-    assert len(m.alphabet._grown) == 3
-    assert m.alphabet._names == [[()]]
+    assert [len(masks) for masks, _, _ in m.alphabet._cliques] == [1, 6, 15]
+    assert "names" not in m.alphabet._kept
     assert sorted(m.alphabet._kept["faces"]) == [1, 2]
 
 

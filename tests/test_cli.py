@@ -639,6 +639,23 @@ def test_top_level_not_object(tmp_path):
     assert "top level" in result.stderr
 
 
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("command, text", [
+    ("homology", DEEP),
+    ("schema", '{"generators": ' + DEEP + "}"),
+], ids=["top-level", "in-generators"])
+def test_deeply_nested_json_exits_2(tmp_path, command, text):
+    """JSON nested deeper than the parser can follow is malformed input:
+    exit 2 with an error naming the file, not a traceback."""
+    path = write(tmp_path, "deep.json", text)
+    result = run(command, path)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {path}: ")
+
 def test_unknown_key(tmp_path):
     path = write(tmp_path, "extra.json", {"generators": ["a"], "extra": 1})
     result = run("schema", path)

@@ -8,7 +8,7 @@ from helpers import (alphabets, moore3_faces, random_alphabet, random_mset,
                      sd2_rp2)
 
 from tracehom import chains, cli, intlinalg, simplicial, verify
-from tracehom.alphabet import IndependenceAlphabet
+from tracehom.alphabet import IndependenceAlphabet, max_clique_size
 from tracehom.intlinalg import AbelianGroup
 from tracehom.msets import (BASEPOINT, ConditionsReport, PointedMSet,
                             full_action_from_successor, x0_mset)
@@ -340,6 +340,24 @@ def test_aug_respects_max_degree():
     assert [c.degree for c in report.comparisons] == [1, 2, 3, 4, 5]
     assert report.holds
 
+
+def test_aug_keeps_one_reduced_homology_per_resolved_bound(monkeypatch):
+    """No bound and the largest clique size are the same bound: the
+    clique complex's reduced homology is computed once for both and kept
+    under the resolved bound alone."""
+    listed = []
+    build = verify.clique_complex
+
+    def recording(alpha, top=None):
+        listed.append(top)
+        return build(alpha, top)
+
+    monkeypatch.setattr(verify, "clique_complex", recording)
+    alpha = IndependenceAlphabet(CYCLE4.generators, CYCLE4.pairs)
+    first = check_theorem_aug(alpha)
+    assert check_theorem_aug(alpha, max_clique_size(alpha)) == first
+    assert listed == [2]
+    assert list(alpha._kept["reduced"]) == [2]
 
 # --- bounds ---------------------------------------------------------------
 
