@@ -420,10 +420,6 @@ class AbelianGroup:
         self.free_rank = free_rank
         self.torsion = tuple(d for d in _divisor_chain(factors) if d > 1)
 
-    @property
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def __eq__(self, other):
         if not isinstance(other, AbelianGroup):
             return NotImplemented

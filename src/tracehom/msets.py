@@ -9,6 +9,10 @@ and independent generators must act interchangeably:
 That compatibility is exactly what extends a generator table to a
 well-defined action of the whole monoid.
 
+An action is full when all generators act as one common map.
+``check_conditions`` decides that and counts the map's cycles among the
+elements, the two terms ``verify`` needs for its closed form.
+
 An action is never changed after validation, so ``chains`` keeps its
 image tables on it, and ``x0_mset`` keeps the two-point reference on
 its alphabet, both through ``alphabet._kept``.
@@ -156,55 +160,50 @@ def fan_mset(alpha):
 
 
 class ConditionsReport(Record):
-    """Whether an action is full and its reduced transition graph is a
-    tree rooted at the basepoint."""
+    """The cycles of an action's common map among its elements, and why
+    the action is not full, if it is not."""
 
-    __slots__ = ("full", "tree", "violations")
+    __slots__ = ("cycles", "violations")
 
-    def __init__(self, full, tree, violations):
-        self._set(full=full, tree=tree, violations=violations)
+    def __init__(self, cycles, violations):
+        self._set(cycles=cycles, violations=violations)
 
     @property
-    def satisfied(self):
-        return self.full and self.tree
+    def full(self):
+        return not self.violations
 
 
 def check_conditions(m):
-    """The preconditions of the power and main identities, in one pass.
+    """The terms of the closed form that ``verify`` checks, in one pass.
 
-    The action is full when all generators agree at every point.  Its
+    The action is full when all generators agree at every point; with no
+    generators every point is fixed, so every action is full.  Its
     reduced transition graph has an edge x -> y when every generator
-    sends x to y; a point whose generators disagree has no edge, and the
-    basepoint's self-loop is dropped.  The graph is a tree rooted at the
-    basepoint when every element has an edge and following the edges
-    from it reaches the basepoint, so a self-loop or a cycle is not a
-    tree.  With no generators no element has an edge: only the
-    one-point action passes.
+    sends x to y, and a point whose generators disagree has none.  Its
+    cycles are counted among the elements: a fixed element is a cycle,
+    the basepoint's self-loop is not counted, and a path that reaches
+    the basepoint ends in no cycle.
     """
     violations = []
-    gens = m.alphabet.generators
     successor = {}
     for x in m.elements:
-        images = {m.act(x, e) for e in gens}
+        row = m._rows[x]
+        images = set(row.values()) or {x}
         if len(images) == 1:
             successor[x] = images.pop()
-        elif images:
-            pairs = ", ".join(f"{x}.{e} = {m.act(x, e)}" for e in gens)
+        else:
+            pairs = ", ".join(f"{x}.{e} = {y}" for e, y in row.items())
             violations.append(f"action not full at {x!r}: {pairs}")
-    full = not violations
-    tree = len(successor) == len(m.elements)
-    rooted = {BASEPOINT}
+    cycles = 0
+    seen = {BASEPOINT}
     for x in successor:
         path = set()
-        while tree and x not in rooted:
-            tree = x not in path
+        while x in successor and x not in seen:
+            seen.add(x)
             path.add(x)
             x = successor[x]
-        rooted |= path
-    if not tree:
-        violations.append(
-            "reduced transition graph is not a tree rooted at the basepoint")
-    return ConditionsReport(full, tree, tuple(violations))
+        cycles += x in path
+    return ConditionsReport(cycles, tuple(violations))
 
 
 def iso_check(m1, m2):

@@ -5,14 +5,17 @@ compares canonical group descriptors degree by degree:
 
   split: constant coefficients = punctured coefficients + free part of
          rank p_s, in every degree s >= 1, for any valid action.
-  power: for a full action whose reduced transition graph is a tree
-         rooted at the basepoint, punctured homology is the |X|-fold
-         power of the two-point reference.
-  main:  under the same conditions, constant-coefficient homology is
-         the |X|-fold power of the clique complex's reduced homology
-         one degree down, plus the free part of rank p_s.
+  power: for a full action, punctured homology follows the closed form
+         below with N = |X|; on a tree rooted at the basepoint it is
+         the |X|-fold power of the two-point reference's.
+  main:  the same for constant-coefficient homology, N = |X| + 1.
   aug:   for the two-point reference itself, punctured homology in
          degree n is the clique complex's reduced homology in n - 1.
+
+The closed form: with N points of rank 1 and c cycles of the common map
+among them (a fixed point is one), H_s = (N - c) U_s + Z^(c p_s), U_s
+being the clique complex's reduced homology in degree s - 1.  power
+reads U_s off the two-point reference, main off the simplicial route.
 
 Checks whose preconditions fail report "not applicable" rather than
 passing silently; ``run_checks`` picks the checks that apply.  Each
@@ -32,7 +35,8 @@ chains route with one from the simplicial route.
 from .alphabet import _kept, clique_counts
 from .chains import DELTA, PUNCTURED, homology
 from .intlinalg import AbelianGroup
-from .msets import chain_mset, check_conditions, fan_mset, iso_check, x0_mset
+from .msets import (BASEPOINT, chain_mset, check_conditions, fan_mset,
+                    iso_check, x0_mset)
 from .records import Record
 from .simplicial import clique_complex
 
@@ -90,13 +94,6 @@ def _reduced(alpha, groups):
         alpha, top).reduced_homology()))
 
 
-def _unmet(claim, m):
-    """The N-A report of power or main on m, None when m qualifies."""
-    conditions = check_conditions(m)
-    return None if conditions.satisfied else VerificationReport(
-        claim, False, note="; ".join(conditions.violations))
-
-
 def check_lemma_split(m, max_degree=None):
     """delta = punctured + Z^(p_s) in every degree s >= 1."""
     counts = clique_counts(m.alphabet, max_degree)
@@ -109,34 +106,40 @@ def check_lemma_split(m, max_degree=None):
     return VerificationReport("split", True, comparisons)
 
 
+def _closed_form(claim, m, system, max_degree, reference):
+    """H_s(m) against (N - c) U_s + Z^(c p_s) for s >= 1, N-A when m is
+    not full.  N - c is |X| less the cycles among the elements, as the
+    basepoint adds to both or to neither.  reference(H(m)) lists U_s."""
+    conditions = check_conditions(m)
+    if not conditions.full:
+        return VerificationReport(claim, False,
+                                  note="; ".join(conditions.violations))
+    copies = len(m.elements) - conditions.cycles
+    cycles = conditions.cycles + system.value_at(BASEPOINT)
+    h_m = homology(m, system, max_degree)
+    counts = clique_counts(m.alphabet, max_degree)
+    units = reference(h_m)
+    comparisons = tuple(
+        DegreeComparison(s, h_m[s], copies * _at(units, s)
+                         + AbelianGroup(cycles * _count_at(counts, s)))
+        for s in range(1, len(h_m)))
+    return VerificationReport(claim, True, comparisons)
+
+
 def check_prop_power(m, max_degree=None):
-    """punctured(m) = punctured(two-point reference)^|X| under the full
-    action and rooted tree conditions."""
-    if unmet := _unmet("power", m):
-        return unmet
-    copies = len(m.elements)
-    h_m = homology(m, PUNCTURED, max_degree)
-    h_ref = homology(x0_mset(m.alphabet), PUNCTURED, max_degree)
-    comparisons = tuple(DegreeComparison(s, h_m[s], copies * h_ref[s])
-                        for s in range(1, len(h_m)))
-    return VerificationReport("power", True, comparisons)
+    """The closed form under PUNCTURED, U_s being the two-point
+    reference's punctured homology."""
+    return _closed_form(
+        "power", m, PUNCTURED, max_degree,
+        lambda h_m: homology(x0_mset(m.alphabet), PUNCTURED, max_degree))
 
 
 def check_theorem_main(m, max_degree=None):
-    """delta(m) = reduced(clique complex)^|X| one degree down, plus
-    Z^(p_s), under the same conditions as the power check."""
-    if unmet := _unmet("main", m):
-        return unmet
-    copies = len(m.elements)
-    counts = clique_counts(m.alphabet, max_degree)
-    h_delta = homology(m, DELTA, max_degree)
-    reduced = _reduced(m.alphabet, h_delta)
-    comparisons = tuple(
-        DegreeComparison(
-            s, h_delta[s],
-            copies * _at(reduced, s - 1) + AbelianGroup(_count_at(counts, s)))
-        for s in range(1, len(h_delta)))
-    return VerificationReport("main", True, comparisons)
+    """The closed form under DELTA, U_s being the clique complex's
+    reduced homology one degree down."""
+    return _closed_form(
+        "main", m, DELTA, max_degree,
+        lambda h_m: [AbelianGroup(0)] + _reduced(m.alphabet, h_m))
 
 
 def check_theorem_aug(alpha, max_degree=None):

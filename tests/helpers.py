@@ -509,6 +509,36 @@ def closed_form_homology(alpha, successor, coefficients):
     return groups
 
 
+def degree_zero_rank(m, coefficients):
+    """The rank of H_0 of any action, full or not, under the named
+    coefficient system; H_0 is free.
+
+    d_1 sends (x, e) to x.e - x, or to -x when x.e has rank 0, so H_0
+    is free on the components of the transition graph on the rank-1
+    points that hold no point with a step to a rank-0 point.  The
+    components come from a union-find over the action table."""
+    at_element, at_base = _RANKS[coefficients]
+    ranked = [x for x in m.elements if at_element]
+    ranked += [BASEPOINT] if at_base else []
+    parent = {x: x for x in ranked}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    leaking = []
+    for x in ranked:
+        for e in m.alphabet.generators:
+            y = m.act(x, e)
+            if y in parent:
+                parent[find(x)] = find(y)
+            else:
+                leaking.append(x)
+    return len({find(x) for x in ranked} - {find(x) for x in leaking})
+
+
 @st.composite
 def successor_maps(draw, max_elements=4):
     """Hypothesis strategy: a map from elements x0, x1, ... into the

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from helpers import (RP2_TRIANGLES, actions, alphabets, as_pairs,
                      assert_column_storage, change_one_entry,
                      closed_form_homology, composes_to_zero,
-                     pair_route_homology, random_alphabet, random_mset,
-                     reference_boundary, reference_face_table,
+                     degree_zero_rank, pair_route_homology, random_alphabet,
+                     random_mset, reference_boundary, reference_face_table,
                      relabel_elements, rename_generators, sd2_rp2,
                      shuffle_generators, successor_cycles, successor_maps)
 
@@ -323,6 +323,29 @@ def test_euler_characteristic_matches_homology(data):
         chi_ranks = sum((-1) ** n * g.free_rank
                         for n, g in enumerate(homology_of_complex(maps)))
         assert chi_cells == chi_ranks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_degree_zero_counts_the_closed_components(data):
+    """H_0 of any action, full or not, in every system: free on the
+    components of the transition graph that no step leaves, counted by
+    a union-find with no engine code."""
+    alpha = data.draw(alphabets(max_size=6))
+    m = data.draw(actions(alpha))
+    for system in SYSTEMS.values():
+        h0 = homology(m, system, 0)[0]
+        assert (h0.free_rank, h0.torsion) == \
+            (degree_zero_rank(m, system.name), ()), system
+
+
+def test_degree_zero_counts_the_closed_components_of_random_actions():
+    rng = random.Random(12)
+    for _ in range(200):
+        m = random_mset(rng, random_alphabet(rng, min_size=0))
+        for system in SYSTEMS.values():
+            assert homology(m, system, 0)[0] == \
+                AbelianGroup(degree_zero_rank(m, system.name)), system
 
 
 def test_homology_ignores_labeling_and_order():

@@ -458,6 +458,25 @@ def test_verify_reference_file_passes():
     assert "FAIL" not in result.stdout
 
 
+def test_verify_two_cycle_file_passes_power_and_main():
+    """x0 <-> x1 is full but no tree: power and main check the closed
+    form with one cycle among the elements."""
+    path = PROBLEMS / "cycle2_cycle4.json"
+    for coeff, groups in (("delta", ["Z^2", "Z^8", "Z^9"]),
+                          ("punctured", ["Z", "Z^4", "Z^5"]),
+                          ("basepoint", ["Z", "Z^4", "Z^4"])):
+        result = run("homology", path, "--coeff", coeff)
+        assert result.stdout.splitlines()[1:] == \
+            [f"H_{n} = {g}" for n, g in enumerate(groups)]
+    result = run("verify", path)
+    assert result.exit_code == 0
+    assert result.stdout.splitlines() == [
+        "[PASS] split degree 1: Z^8 = Z^8", "[PASS] split degree 2: Z^9 = Z^9",
+        "[PASS] power degree 1: Z^4 = Z^4", "[PASS] power degree 2: Z^5 = Z^5",
+        "[PASS] main degree 1: Z^8 = Z^8", "[PASS] main degree 2: Z^9 = Z^9",
+        "[PASS] aug degree 1: 0 = 0", "[PASS] aug degree 2: Z = Z"]
+
+
 def test_verify_alphabet_only_file():
     result = run("verify", PROBLEMS / "cycle4.json")
     assert result.exit_code == 0

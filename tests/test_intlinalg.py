@@ -552,7 +552,7 @@ def test_group_canonical_form():
     assert AbelianGroup(0, (2, 3)) == AbelianGroup(0, (6,))
     assert AbelianGroup(0, (2, 4)) != AbelianGroup(0, (8,))
     assert AbelianGroup(0, (4, 6)).torsion == (2, 12)
-    assert AbelianGroup(0, (1, 1)).is_trivial
+    assert AbelianGroup(0, (1, 1)) == AbelianGroup(0)
     assert AbelianGroup(2).torsion == ()
 
 

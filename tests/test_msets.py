@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from tracehom import ValidationError
 from tracehom.alphabet import IndependenceAlphabet
-from tracehom.msets import (BASEPOINT, PointedMSet, chain_mset,
-                            check_conditions, fan_mset,
+from tracehom.msets import (BASEPOINT, ConditionsReport, PointedMSet,
+                            chain_mset, check_conditions, fan_mset,
                             full_action_from_successor, iso_check, x0_mset)
 
 EMPTY = IndependenceAlphabet([])
@@ -158,33 +158,38 @@ def test_act_unknown_element():
 
 # --- full action / transition graph / conditions -------------------------
 
-# name -> (action builder, full, tree)
+# name -> (action builder, full, cycles of the common map among the
+# elements)
 CONDITIONS = {
-    "one_element": (example_one_element, True, True),
-    "chain": (lambda: chain_mset(CYCLE4), True, True),
-    "fan": (lambda: fan_mset(CYCLE4), True, True),
-    "fan_pair_free": (lambda: fan_mset(PAIR_FREE), True, True),
+    "one_element": (example_one_element, True, 0),
+    "chain": (lambda: chain_mset(CYCLE4), True, 0),
+    "fan": (lambda: fan_mset(CYCLE4), True, 0),
+    "fan_pair_free": (lambda: fan_mset(PAIR_FREE), True, 0),
     "two_cycle": (lambda: full_action_from_successor(
-        SINGLE, {"x0": "x1", "x1": "x0"}), True, False),
+        SINGLE, {"x0": "x1", "x1": "x0"}), True, 1),
     "element_self_loop": (lambda: full_action_from_successor(
-        SINGLE, {"x0": "x0"}), True, False),
+        SINGLE, {"x0": "x0"}), True, 1),
     "self_loop_below_element": (lambda: full_action_from_successor(
-        SINGLE, {"x0": "x1", "x1": "x1"}), True, False),
-    "not_full": (not_full_mset, False, False),
+        SINGLE, {"x0": "x1", "x1": "x1"}), True, 1),
+    "not_full": (not_full_mset, False, 0),
+    # a tail into a 3-cycle, listed first, a 2-cycle, a fixed element
+    # and a chain to the basepoint
+    "mixed": (lambda: full_action_from_successor(SINGLE, {
+        "t": "c0", "c0": "c1", "c1": "c2", "c2": "c0", "a0": "a1",
+        "a1": "a0", "f": "f", "p": "q", "q": BASEPOINT}), True, 3),
     "no_generators_one_element": (
-        lambda: PointedMSet(EMPTY, ["x0"], {"x0": {}}), True, False),
+        lambda: PointedMSet(EMPTY, ["x0"], {"x0": {}}), True, 1),
     "no_generators_no_elements": (
-        lambda: PointedMSet(EMPTY, [], {}), True, True),
+        lambda: PointedMSet(EMPTY, [], {}), True, 0),
 }
 
 
 @pytest.mark.parametrize("name", CONDITIONS)
 def test_check_conditions_table(name):
-    make, full, tree = CONDITIONS[name]
+    make, full, cycles = CONDITIONS[name]
     report = check_conditions(make())
-    assert (report.full, report.tree) == (full, tree)
-    assert report.satisfied == (full and tree)
-    assert (report.violations == ()) == (full and tree)
+    assert (report.full, report.cycles) == (full, cycles)
+    assert (report.violations == ()) == full
 
 
 def test_is_full_action():
@@ -194,40 +199,35 @@ def test_is_full_action():
 
 
 def test_transition_graph_disagreement_gives_no_edge():
-    # x0's generators disagree, so x0 has no edge and the graph is no
-    # tree; x1 keeps its edge to the basepoint and is not reported
+    # x0's generators disagree, so x0 has no edge and lies on no cycle;
+    # x1 keeps its edge to the basepoint and is not reported
     report = check_conditions(not_full_mset())
-    assert not report.tree
-    assert [v for v in report.violations if "not full" in v] == [
-        "action not full at 'x0': x0.e1 = x1, x0.e2 = *"]
+    assert report == ConditionsReport(0, (
+        "action not full at 'x0': x0.e1 = x1, x0.e2 = *",))
 
 
 def test_check_conditions_fan_of_three():
     fan = full_action_from_successor(
         CYCLE4, {"x0": "x1", "x1": "*", "x2": "x1", "x3": "x1"})
-    report = check_conditions(fan)
-    assert (report.full, report.tree) == (True, True)
-    assert report.satisfied
-    assert report.violations == ()
+    assert check_conditions(fan) == ConditionsReport(0, ())
 
 
 def test_check_conditions_one_point():
     m = PointedMSet(CYCLE4, [], {})
-    assert check_conditions(m).satisfied
+    assert check_conditions(m) == ConditionsReport(0, ())
 
 
 def test_check_conditions_not_full():
     report = check_conditions(not_full_mset())
     assert not report.full
-    assert not report.satisfied
     assert any("not full at 'x0'" in v for v in report.violations)
 
 
-def test_check_conditions_cycle_not_tree():
+def test_check_conditions_counts_a_two_cycle():
     two_cycle = full_action_from_successor(SINGLE, {"x0": "x1", "x1": "x0"})
     report = check_conditions(two_cycle)
-    assert report.full and not report.tree
-    assert any("rooted" in v for v in report.violations)
+    assert report.full and report.cycles == 1
+    assert report.violations == ()
 
 
 # --- isomorphism search --------------------------------------------------

@@ -4,14 +4,15 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from helpers import (alphabets, moore3_faces, random_alphabet, random_mset,
-                     sd2_rp2)
+from helpers import (alphabets, closed_form_homology, moore3_faces,
+                     random_alphabet, random_mset, sd2_rp2, successor_maps)
 
 from tracehom import chains, cli, intlinalg, simplicial, verify
 from tracehom.alphabet import IndependenceAlphabet, max_clique_size
 from tracehom.intlinalg import AbelianGroup
 from tracehom.msets import (BASEPOINT, ConditionsReport, PointedMSet,
-                            full_action_from_successor, x0_mset)
+                            check_conditions, full_action_from_successor,
+                            x0_mset)
 from tracehom.simplicial import SimplicialComplex, barycentric_flagification
 from tracehom.verify import (ALL_CHECKS, CounterexampleReport,
                              DegreeComparison, VerificationReport,
@@ -87,13 +88,13 @@ def test_reports_are_immutable_records():
         "rhs=AbelianGroup(0, ()))")
     assert hash(DegreeComparison(1, Z, Z)) == hash(DegreeComparison(1, Z, Z))
     assert DegreeComparison(1, Z, Z) != (1, Z, Z)
-    assert repr(ConditionsReport(True, False, ("v",))) == \
-        "ConditionsReport(full=True, tree=False, violations=('v',))"
+    assert repr(ConditionsReport(1, ("v",))) == \
+        "ConditionsReport(cycles=1, violations=('v',))"
     first, second = (CounterexampleReport(False, None, 2) for _ in range(2))
     assert first == second and first.tables == {}
     assert first.tables is not second.tables
     for record, field in ((report, "note"), (first, "tables"),
-                          (ConditionsReport(True, True, ()), "full")):
+                          (ConditionsReport(0, ()), "cycles")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
 
@@ -200,12 +201,16 @@ def test_power_not_applicable_without_full_action():
     assert "not full" in report.note
 
 
-def test_power_not_applicable_on_cycle():
-    two_cycle = full_action_from_successor(SINGLE,
+def test_power_holds_on_a_two_cycle():
+    """N = 2 elements, c = 1 cycle: one copy of the reference's H_s and
+    Z^(p_s) beside it."""
+    two_cycle = full_action_from_successor(CYCLE4,
                                            {"x0": "x1", "x1": "x0"})
+    assert check_conditions(two_cycle).cycles == 1
     report = check_prop_power(two_cycle)
-    assert report.status == "N-A"
-    assert "tree" in report.note
+    assert report.holds, report.witness
+    assert [(c.degree, c.lhs) for c in report.comparisons] == \
+        [(1, 4 * Z), (2, 5 * Z)]
 
 
 def test_power_holds_on_random_trees():
@@ -246,10 +251,29 @@ def test_main_one_point_is_pure_clique_part():
     assert [c.lhs for c in report.comparisons] == [3 * Z, 3 * Z, Z]
 
 
-def test_main_not_applicable_mirrors_power():
-    two_cycle = full_action_from_successor(SINGLE,
+def test_main_holds_on_a_two_cycle():
+    """N = 3 points with the basepoint, c = 2 cycles with its loop."""
+    two_cycle = full_action_from_successor(CYCLE4,
                                            {"x0": "x1", "x1": "x0"})
-    assert check_theorem_main(two_cycle).status == "N-A"
+    report = check_theorem_main(two_cycle)
+    assert report.holds, report.witness
+    assert [(c.degree, c.lhs) for c in report.comparisons] == \
+        [(1, 8 * Z), (2, 9 * Z)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(alphabets(max_size=6), successor_maps())
+def test_power_and_main_hold_on_every_full_action(alpha, successor):
+    """Cycles, fixed elements and trees alike: both checks pass, and
+    their right-hand sides are the dense oracle's closed form."""
+    m = full_action_from_successor(alpha, successor)
+    for check, system in ((check_prop_power, "punctured"),
+                          (check_theorem_main, "delta")):
+        report = check(m)
+        assert report.holds, report.witness
+        assert [(c.rhs.free_rank, c.rhs.torsion)
+                for c in report.comparisons] == \
+            closed_form_homology(alpha, successor, system)[1:]
 
 
 def test_main_holds_on_random_trees():
