@@ -350,10 +350,7 @@ def main(argv=None, standalone_mode=True):
     The command runs with the cyclic garbage collector paused, since a
     pass would only rescan the matrices it holds, and the collector's
     state is restored however the command ends.  Reference counting
-    frees what a command allocates, apart from a few reference cycles,
-    the largest an alphabet and the two-point action kept on it.  Those
-    live until the command ends anyway, and the collector reclaims them
-    once it is back on.
+    frees everything a command allocates.
     """
     args = vars(_PARSER.parse_args(argv))
     enabled = gc.isenabled()

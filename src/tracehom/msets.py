@@ -14,8 +14,9 @@ An action is full when all generators act as one common map.
 elements, the two terms ``verify`` needs for its closed form.
 
 An action is never changed after validation, so ``chains`` keeps its
-image tables on it, and ``x0_mset`` keeps the two-point reference on
-its alphabet, both through ``alphabet._kept``.
+image tables on it through ``alphabet._kept``.  The reference actions
+(``x0_mset``, ``chain_mset``, ``fan_mset``) are built afresh on each
+call, and nothing keeps an action on its alphabet.
 
 ``iso_check`` is a complete search, so its None certifies that two
 actions are not isomorphic.  Each assignment x -> y also assigns the
@@ -23,7 +24,6 @@ x.e -> y.e it forces and is undone from a log when one clashes; some
 pairs of actions still take it time exponential in their size.
 """
 
-from .alphabet import _kept
 from .errors import ValidationError
 from .records import Record
 
@@ -92,11 +92,13 @@ class PointedMSet:
                 else:
                     targets[e] = y
         if not problems:
-            # the squares in any order; the failures, if any, sorted by
-            # pair and then by carrier point
+            # the squares at the elements, in any order: those at '*'
+            # hold, as its row is all '*'.  The failures, if any, sorted
+            # by pair and then by carrier point
             failures = []
             pairs = alphabet.pairs
-            for k, (x, row) in enumerate(rows.items()):
+            for k, x in enumerate(carrier[:-1]):
+                row = rows[x]
                 for a, b in pairs:
                     lhs = rows[row[a]][b]
                     rhs = rows[row[b]][a]
@@ -142,10 +144,8 @@ def full_action_from_successor(alpha, successor):
 
 def x0_mset(alpha):
     """The two-point reference: one element sent to the basepoint by
-    every generator.  It is built once per alphabet and kept on it, so
-    the same alphabet always gives the same object."""
-    return _kept(alpha, "x0", None, full_action_from_successor, alpha,
-                 {"x0": BASEPOINT})
+    every generator."""
+    return full_action_from_successor(alpha, {"x0": BASEPOINT})
 
 
 def chain_mset(alpha):

@@ -23,13 +23,14 @@ report covers the degrees s >= 1 of the list ``chains.homology`` gives.
 
 The identities share terms.  Each term is computed once and kept on the
 alphabet through ``alphabet._kept``: the homology of an action, one
-entry per distinct image table (see ``chains.homology``), the two-point
-reference and, kept by this module, the clique complex's reduced
-homology per resolved degree bound, read off the list
-``chains.homology`` gave.  On the two-point action itself, its
-PUNCTURED complex is the reference's, so ``verify all`` reduces three
-complexes, not four.  main and aug still compare a side from the
-chains route with one from the simplicial route.
+entry per distinct image table (see ``chains.homology``), and, kept by
+this module, the clique complex's reduced homology per resolved degree
+bound, read off the list ``chains.homology`` gave.  Each check that
+reads the two-point reference builds it afresh, and finds its groups
+kept.  On the two-point action itself, its PUNCTURED complex is the
+reference's, so ``verify all`` reduces three complexes, not four.  main
+and aug still compare a side from the chains route with one from the
+simplicial route.
 """
 
 from .alphabet import _kept, clique_counts

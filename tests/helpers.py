@@ -39,16 +39,16 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def moore3_faces():
-    """A mod-3 Moore space as a face list: a circle a, b, c and a disc
-    whose boundary reads a b c a b c a b c, triangulated through an inner
-    ring u0 .. u8 and a centre w.  Face counts (13, 39, 27), reduced
-    homology [0, Z/3, 0]."""
-    rim = "abc" * 3
-    ring = [f"u{i}" for i in range(9)]
+def moore_faces(n):
+    """A mod-n Moore space as a face list (n >= 1): a circle a, b, c and
+    a disc whose boundary reads a b c n times, triangulated through an
+    inner ring u0 .. u(3n-1) and a centre w.  Face counts (3n + 4,
+    12n + 3, 9n), reduced homology [0, Z/n, 0]."""
+    rim = "abc" * n
+    ring = [f"u{i}" for i in range(3 * n)]
     faces = []
-    for i in range(9):
-        j = (i + 1) % 9
+    for i in range(3 * n):
+        j = (i + 1) % (3 * n)
         faces += [(rim[i], rim[j], ring[i]), (rim[j], ring[i], ring[j]),
                   (ring[i], ring[j], "w")]
     return faces
@@ -112,6 +112,42 @@ def rank_mod(rows, p):
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
         rank += 1
     return rank
+
+
+def rank_mod_p_sparse(m, p):
+    """Rank over the field of p elements, p prime, of an IntegerMatrix,
+    by the column reduction of persistence algorithms: each column is
+    reduced mod p against the kept columns, keyed by their lowest row,
+    until its lowest row is new or it is zero.  It reads only
+    ``m.rows``, ``m.cols`` and ``m.columns``."""
+    lowest = {}  # lowest row -> kept column, 1 at that row
+    for j in range(m.cols):
+        col = {i: v % p for i, v in m.columns.get(j, {}).items() if v % p}
+        while col:
+            low = max(col)
+            kept = lowest.get(low)
+            if kept is None:
+                inverse = pow(col[low], -1, p)
+                lowest[low] = {i: v * inverse % p for i, v in col.items()}
+                break
+            f = col[low]
+            for i, v in kept.items():
+                w = (col.get(i, 0) - f * v) % p
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+        if len(lowest) == m.rows:
+            break
+    return len(lowest)
+
+
+def mod_p_betti(boundaries, p):
+    """dim H_n(C (x) F_p), n = 0 .. top, of the complex [d_0, d_1, ...,
+    d_top+1] that ``build_complex`` gives, by ``rank_mod_p_sparse``."""
+    ranks = [rank_mod_p_sparse(d, p) for d in boundaries]
+    return [boundaries[n].cols - ranks[n] - ranks[n + 1]
+            for n in range(len(boundaries) - 1)]
 
 
 def prime_factors(n):
@@ -443,6 +479,39 @@ def brute_force_iso(m1, m2):
                for x in phi for e in gens):
             return phi
     return None
+
+
+def action_problems(alpha, elements, action):
+    """What ``PointedMSet`` raises on an action table with distinct
+    element names and every target in the carrier, [] when it is valid:
+    the missing cells and moved basepoint, point by point, or else every
+    failed commutation square, sorted by pair and then by carrier point.
+    An omitted basepoint row means fixity.  Every independent pair is
+    checked at every carrier point, the basepoint included."""
+    carrier = [*elements, BASEPOINT]
+    rows = {x: action.get(x, {}) for x in carrier}
+    rows[BASEPOINT] = rows[BASEPOINT] or dict.fromkeys(alpha.generators,
+                                                       BASEPOINT)
+    problems = []
+    for x in carrier:
+        for e in alpha.generators:
+            y = rows[x].get(e)
+            if y is None:
+                problems.append(f"missing action entry ({x!r}, {e!r})")
+            elif x == BASEPOINT and y != BASEPOINT:
+                problems.append(f"basepoint moved: *.{e!r} = {y!r}")
+    if problems:
+        return problems
+    pairs = sorted((a, b) for a, b in combinations(alpha.generators, 2)
+                   if alpha.independent(a, b))
+    for a, b in pairs:
+        for x in carrier:
+            lhs, rhs = rows[rows[x][a]][b], rows[rows[x][b]][a]
+            if lhs != rhs:
+                problems.append(f"commutation fails at {x!r}: "
+                                f"({x}.{a}).{b} = {lhs} but "
+                                f"({x}.{b}).{a} = {rhs}")
+    return problems
 
 
 def successor_cycles(successor):

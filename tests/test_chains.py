@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from helpers import (RP2_TRIANGLES, actions, alphabets, as_pairs,
                      assert_column_storage, change_one_entry,
                      closed_form_homology, composes_to_zero,
-                     degree_zero_rank, pair_route_homology, random_alphabet,
-                     random_mset, reference_boundary, reference_face_table,
+                     degree_zero_rank, mod_p_betti, moore_faces,
+                     pair_route_homology, random_alphabet, random_matrix,
+                     random_mset, rank_mod, rank_mod_p_sparse,
+                     reference_boundary, reference_face_table,
                      relabel_elements, rename_generators, sd2_rp2,
-                     shuffle_generators, successor_cycles, successor_maps)
+                     shuffle_generators, successor_cycles, successor_maps,
+                     time_limit)
 
 from tracehom import alphabet, chains, intlinalg
 from tracehom.alphabet import (IndependenceAlphabet, clique_counts,
@@ -387,6 +390,66 @@ def test_homology_bounded_by_max_degree():
                 assert homology(m, system, bound) == padded[:bound + 1]
 
 
+def universal_coefficients(groups, p):
+    """dim H_n(C (x) F_p) = b_n + t_n(p) + t_n-1(p) by the universal
+    coefficient theorem, t_n(p) counting the invariant factors of H_n
+    that p divides."""
+    t = [sum(d % p == 0 for d in g.torsion) for g in groups]
+    return [g.free_rank + t[n] + (t[n - 1] if n else 0)
+            for n, g in enumerate(groups)]
+
+
+def test_rank_mod_p_sparse_matches_the_dense_rank():
+    rng = random.Random(11)
+    for _ in range(200):
+        m = random_matrix(rng, lo=-4, hi=4)
+        for p in (2, 3, 2 ** 31 - 1):
+            assert rank_mod_p_sparse(m, p) == rank_mod(m.to_rows(), p)
+
+
+@pytest.mark.parametrize("system", SYSTEMS.values(), ids=SYSTEMS)
+def test_mod_p_betti_numbers_of_sd2_rp2_under_a_fan_of_32(system):
+    """sd2(RP2) under a full fan of 32 points: the engine's groups, with
+    (Z/2)^32 in H_2 under DELTA and PUNCTURED, predict the mod-p Betti
+    numbers that the sparse oracle counts, for a small and a large
+    prime."""
+    with time_limit(30):
+        m = full_action_from_successor(
+            sd2_rp2(), {f"x{k}": BASEPOINT for k in range(32)})
+        boundaries = build_complex(m, system)
+        groups = homology(m, system)
+        for p in (2, 2 ** 31 - 1):
+            assert mod_p_betti(boundaries, p) == \
+                universal_coefficients(groups, p)
+        if system is DELTA:
+            assert mod_p_betti(boundaries, 2) == [1, 181, 572, 392]
+
+
+@pytest.mark.parametrize("n, counts", [
+    (4, [1, 103, 318, 216]),
+    (8, [1, 199, 630, 432]),
+])
+def test_two_point_action_over_a_moore_space(n, counts):
+    """PUNCTURED H_2 of the two-point action over the flagified mod-n
+    Moore space is its H~_1, Z/n."""
+    alpha = barycentric_flagification(moore_faces(n))
+    assert clique_counts(alpha) == counts
+    assert homology(x0_mset(alpha), PUNCTURED) == \
+        [ZERO, ZERO, AbelianGroup(0, (n,)), ZERO]
+
+
+def test_z4_is_told_apart_from_z2_squared():
+    """The two-point action over M(Z/4) and a fan of two over M(Z/2):
+    the engine tells Z/4 from (Z/2)^2, and the mod-2 oracle counts one
+    2-primary summand in the first and two in the second."""
+    x0 = x0_mset(barycentric_flagification(moore_faces(4)))
+    fan = fan_mset(barycentric_flagification(moore_faces(2)))
+    assert homology(x0, PUNCTURED)[2] == AbelianGroup(0, (4,))
+    assert homology(fan, PUNCTURED)[2] == AbelianGroup(0, (2, 2))
+    assert mod_p_betti(build_complex(x0, PUNCTURED), 2) == [0, 0, 1, 1]
+    assert mod_p_betti(build_complex(fan, PUNCTURED), 2) == [0, 0, 2, 2]
+
+
 def test_kept_homology_is_handed_out_as_a_fresh_list():
     m = x0_mset(CYCLE4)
     first = homology(m, DELTA)
@@ -396,7 +459,7 @@ def test_kept_homology_is_handed_out_as_a_fresh_list():
     assert again == expected
     again[0] = ZERO
     assert homology(m, DELTA) == expected
-    assert x0_mset(CYCLE4) is m
+    assert homology(x0_mset(CYCLE4), DELTA) == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -818,6 +818,29 @@ def test_collector_paused_while_a_command_runs(tmp_path, monkeypatch,
     assert during == [False, False]
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "rp2_x0.json"),
+    ("verify", "cycle4.json"),
+    ("homology", "rp2_x0.json"),
+    ("schema", "cycle4.json"),
+    ("counterexample", "cycle4.json"),
+    ("iso", "x0_cycle4.json", "x0_cycle4.json"),
+    ("iso", "chain2_cycle4.json", "fan2_cycle4.json"),
+])
+def test_a_command_leaves_no_reference_cycle(args):
+    """With the collector off, reference counting frees everything a
+    command allocates: the collector then finds nothing unreachable."""
+    command, *names = args
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(command, *(PROBLEMS / n for n in names)).exit_code \
+            in (0, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("args, name", [
     ((), "bad.json"),
     (("--flagify",), "bad.txt"),

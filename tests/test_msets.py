@@ -2,8 +2,9 @@ import random
 import time
 
 import pytest
-from helpers import (actions, alphabets, brute_force_iso, random_alphabet,
-                     random_mset, relabel_elements, time_limit)
+from helpers import (action_problems, actions, alphabets, brute_force_iso,
+                     random_alphabet, random_mset, relabel_elements,
+                     time_limit)
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -131,6 +132,44 @@ def test_commutation_not_checked_when_cells_missing():
     alpha = IndependenceAlphabet(["a", "b"], [("a", "b")])
     with pytest.raises(ValidationError, match="missing action entry"):
         PointedMSet(alpha, ["x0"], {"x0": {"a": "x0"}})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_validation_matches_the_brute_force_square_check(data):
+    """A valid drawn action or a table drawn cell by cell, its
+    basepoint row omitted or written out, with up to three cells missing
+    or moved, the basepoint's included.  The oracle checks the squares
+    at the basepoint too, which ``PointedMSet`` skips; the problems
+    raised are exactly the oracle's."""
+    alpha = data.draw(alphabets(max_size=4))
+    m = data.draw(actions(alpha, max_elements=3, min_elements=1))
+    target = st.sampled_from(m.carrier)
+    if data.draw(st.booleans()):
+        table = {x: {e: m.act(x, e) for e in alpha.generators}
+                 for x in m.elements}
+    else:
+        table = {x: {e: data.draw(target) for e in alpha.generators}
+                 for x in m.elements}
+    if data.draw(st.booleans()):
+        table[BASEPOINT] = dict.fromkeys(alpha.generators, BASEPOINT)
+    if alpha.generators:
+        for _ in range(data.draw(st.integers(0, 3))):
+            x = data.draw(st.sampled_from(sorted(table)))
+            e = data.draw(st.sampled_from(alpha.generators))
+            if data.draw(st.sampled_from(["drop", "move", "move"])) \
+                    == "drop":
+                table[x].pop(e, None)
+            else:
+                table[x][e] = data.draw(target)
+    expected = action_problems(alpha, m.elements, table)
+    event(expected[0].split(" ")[0] if expected else "valid")
+    if expected:
+        with pytest.raises(ValidationError) as exc:
+            PointedMSet(alpha, m.elements, table)
+        assert list(exc.value.problems) == expected
+    else:
+        PointedMSet(alpha, m.elements, table)
 
 
 def test_same_image_always_commutes():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (RP2_TRIANGLES, alphabets, as_pairs,
                      assert_column_storage, change_one_entry,
-                     composes_to_zero, moore3_faces, pair_route_homology,
+                     composes_to_zero, moore_faces, pair_route_homology,
                      random_alphabet)
 
 from tracehom import ValidationError, alphabet, intlinalg, simplicial
@@ -406,10 +406,10 @@ def test_moore_space_has_three_torsion():
     """A disc wrapped three times round a circle: Z/3 in degree 1,
     directly and through its flagified alphabet."""
     z3 = AbelianGroup(0, (3,))
-    direct = SimplicialComplex.from_maximal_faces(moore3_faces())
+    direct = SimplicialComplex.from_maximal_faces(moore_faces(3))
     assert [direct.count(k) for k in range(3)] == [13, 39, 27]
     assert direct.reduced_homology() == [ZERO, z3, ZERO]
-    alpha = barycentric_flagification(moore3_faces())
+    alpha = barycentric_flagification(moore_faces(3))
     assert clique_counts(alpha) == [1, 79, 240, 162]
     assert clique_complex(alpha).reduced_homology() == [ZERO, z3, ZERO]
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from helpers import (alphabets, closed_form_homology, moore3_faces,
+from helpers import (alphabets, closed_form_homology, moore_faces,
                      random_alphabet, random_mset, sd2_rp2, successor_maps)
 
 from tracehom import chains, cli, intlinalg, simplicial, verify
@@ -311,7 +311,7 @@ def test_main_on_sd2_rp2_under_a_fan_of_32_points(monkeypatch):
 def test_main_and_aug_on_the_moore_space_under_a_fan_of_3_points():
     """Three copies of the Z/3 of the mod-3 Moore space in H_2: torsion
     other than Z/2 through both routes."""
-    alpha = barycentric_flagification(moore3_faces())
+    alpha = barycentric_flagification(moore_faces(3))
     fan = full_action_from_successor(
         alpha, {f"x{k}": BASEPOINT for k in range(3)})
     assert chains.homology(fan, chains.DELTA)[2] == \
