@@ -3,9 +3,10 @@
 Problem files are JSON objects with keys "generators", "independence",
 and optionally "elements" and "action" (together).  The basepoint is
 spelled "*"; an omitted "*" row in the action table means fixity.
-Exit codes: 0 success, 1 a semantic check failed (a FAIL verdict or a
-negative isomorphism test), 2 a usage error, malformed input, or an
-input whose cliques or chain complex would be too large to list.
+Exit codes: 0 success, 1 a semantic check failed (a FAIL verdict, a
+negative isomorphism test, or a chain and fan whose homology differs),
+2 a usage error, malformed input, or an input whose cliques or chain
+complex would be too large to list.
 """
 
 import argparse
@@ -128,12 +129,10 @@ def _parse_mset(path, doc, alpha):
     problems = []
     if not isinstance(elements, list):
         problems.append(f"{path}: \"elements\" must be a list of strings")
-        elements = []
     if not isinstance(action, dict) or \
             not all(isinstance(row, dict) for row in action.values()):
         problems.append(f"{path}: \"action\" must map elements to "
                         "generator-to-target objects")
-        action = {}
     if problems:
         _die(problems)
     try:
@@ -233,12 +232,14 @@ def cmd_verify(problem, which, fmt, max_degree):
 
 def cmd_iso(left, right, fmt):
     """Decide basepoint-preserving equivariant isomorphism of two
-    actions over the same alphabet.  Exits 1 when there is none."""
-    alpha_l, m_l = _load_problem(left, need_action=True)
-    alpha_r, m_r = _load_problem(right, need_action=True)
-    if alpha_l != alpha_r:
+    actions over the same alphabet, its generators declared in any
+    order.  Exits 1 when there is none."""
+    _, m_l = _load_problem(left, need_action=True)
+    _, m_r = _load_problem(right, need_action=True)
+    try:
+        witness, tried = iso_check(m_l, m_r)
+    except ValueError:  # the two files present different monoids
         _die([f"{left} and {right} use different alphabets"])
-    witness, tried = iso_check(m_l, m_r)
     if fmt == "json":
         _echo(_json({"isomorphic": witness is not None,
                      "witness": witness,
@@ -255,7 +256,8 @@ def cmd_iso(left, right, fmt):
 
 def cmd_counterexample(problem, fmt, max_degree):
     """Build the chain and fan actions over the file's alphabet and show
-    they are non-isomorphic with identical homology."""
+    they are non-isomorphic with identical homology.  Exits 1 when their
+    homology differs in some degree."""
     alpha, _ = _load_problem(problem, need_action=False)
     report = verify.counterexample_report(alpha, max_degree)
     if fmt == "json":
@@ -271,24 +273,26 @@ def cmd_counterexample(problem, fmt, max_degree):
                                "equal": c.ok} for c in table]
                        for name, table in report.tables.items()},
         }))
-        return
-    _echo(f"alphabet: {len(alpha.generators)} generators, "
-          f"{len(alpha.pairs)} independence pairs")
-    _echo("actions: chain x0 -> x1 -> *  vs  fan x0 -> *, x1 -> *")
-    iso_text = "YES" if report.isomorphic else "NO"
-    _echo(f"isomorphic: {iso_text} (tried "
-          f"{report.bijections_searched} assignments)")
-    if report.note:
-        _echo(f"note: {report.note}")
-    for name, table in report.tables.items():
-        _echo(f"{name}:")
-        for c in table:
-            mark = "ok" if c.ok else "MISMATCH"
-            _echo(f"  H_{c.degree}: {c.lhs} = {c.rhs}  {mark}")
-    if not report.isomorphic and report.homology_equal:
-        _echo("verdict: non-isomorphic actions, identical homology"
-              if any(report.tables.values()) else
-              "verdict: no degrees compared")
+    else:
+        _echo(f"alphabet: {len(alpha.generators)} generators, "
+              f"{len(alpha.pairs)} independence pairs")
+        _echo("actions: chain x0 -> x1 -> *  vs  fan x0 -> *, x1 -> *")
+        iso_text = "YES" if report.isomorphic else "NO"
+        _echo(f"isomorphic: {iso_text} (tried "
+              f"{report.bijections_searched} assignments)")
+        if report.note:
+            _echo(f"note: {report.note}")
+        for name, table in report.tables.items():
+            _echo(f"{name}:")
+            for c in table:
+                mark = "ok" if c.ok else "MISMATCH"
+                _echo(f"  H_{c.degree}: {c.lhs} = {c.rhs}  {mark}")
+        if not report.isomorphic and report.homology_equal:
+            _echo("verdict: non-isomorphic actions, identical homology"
+                  if any(report.tables.values()) else
+                  "verdict: no degrees compared")
+    if not report.homology_equal:
+        sys.exit(1)
 
 
 def _build_parser():

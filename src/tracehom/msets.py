@@ -213,8 +213,15 @@ def iso_check(m1, m2):
     first, or None when there is none, and the number of candidates
     assigned at branch points (0 when the sizes differ).  m1's elements
     branch in their order and m2's are tried in theirs, so the witness
-    is the first equivariant bijection in that order."""
-    if m1.alphabet != m2.alphabet:
+    is the first equivariant bijection in that order.
+
+    The two alphabets must present one monoid: the same generators and
+    the same unordered independence pairs, in any declaration order,
+    as rows are read by generator name.  Otherwise it raises
+    ValueError."""
+    a1, a2 = m1.alphabet, m2.alphabet
+    if set(a1.generators) != set(a2.generators) or \
+            set(map(frozenset, a1.pairs)) != set(map(frozenset, a2.pairs)):
         raise ValueError("msets live over different alphabets")
     xs, ys = m1.elements, m2.elements
     n = len(xs)

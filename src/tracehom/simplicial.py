@@ -219,7 +219,9 @@ def barycentric_flagification(maximal_faces):
     two faces the same name; every such pair is named in one
     ``ValidationError``.  So is a face list whose distinct faces have
     more than ``alphabet._SIZE_CAP`` nonempty subfaces, a subface of
-    two of them counted twice, before any face is listed.
+    two of them counted twice, before any face is listed, and a complex
+    whose (subface, face) pairs, the alphabet's 2-cliques, would number
+    more than that, before any pair is listed.
     """
     maximal_faces = list(maximal_faces)
     _check_size("the face list", sum(2 ** len(face) - 1 for face
@@ -227,6 +229,8 @@ def barycentric_flagification(maximal_faces):
                 "faces")
     complex_ = SimplicialComplex.from_maximal_faces(maximal_faces)
     faces = list(chain.from_iterable(complex_.simplices))
+    _check_size("clique level 2", sum(2 ** len(f) - 2 for f in faces),
+                "cliques")
     names, owner = {}, {}
     problems = []
     for face in faces:

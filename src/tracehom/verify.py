@@ -1,21 +1,22 @@
 """Mechanical checks of the homology decomposition identities.
 
-Each check recomputes both sides of an isomorphism with the engine and
-compares canonical group descriptors degree by degree:
+Each check recomputes both sides with the engine and compares canonical
+group descriptors in every degree s >= 1.  All four identities read
+H_s = k U_s + Z^(j p_s), p_s counting the s-cliques; ``_identity``
+makes every comparison, and each check names its row:
 
-  split: constant coefficients = punctured coefficients + free part of
-         rank p_s, in every degree s >= 1, for any valid action.
-  power: for a full action, punctured homology follows the closed form
-         below with N = |X|; on a tree rooted at the basepoint it is
-         the |X|-fold power of the two-point reference's.
-  main:  the same for constant-coefficient homology, N = |X| + 1.
-  aug:   for the two-point reference itself, punctured homology in
-         degree n is the clique complex's reduced homology in n - 1.
+  claim  H_s                        k      U_s                         j
+  split  H_s(m), constant           1      H_s(m), punctured           1
+  power  H_s(m), punctured          N - c  H_s(two-point), punctured   c
+  main   H_s(m), constant           N - c  H~_{s-1}(clique complex)    c + 1
+  aug    H_s(two-point), punctured  1      H~_{s-1}(clique complex)    0
 
-The closed form: with N points of rank 1 and c cycles of the common map
-among them (a fixed point is one), H_s = (N - c) U_s + Z^(c p_s), U_s
-being the clique complex's reduced homology in degree s - 1.  power
-reads U_s off the two-point reference, main off the simplicial route.
+split holds for any valid action; power and main are the closed form
+of a full action m, with N = |X| and c the cycles of its common map
+among the elements (a fixed point is one).  Under constant coefficients
+the basepoint adds one point of rank 1 and one cycle, so k stays N - c
+and j gains 1.  power reads U_s by the chains route, main and aug by
+the simplicial route.
 
 Checks whose preconditions fail report "not applicable" rather than
 passing silently; ``run_checks`` picks the checks that apply.  Each
@@ -79,52 +80,53 @@ class VerificationReport(Record):
 
 
 def _at(groups, s):
-    return groups[s] if 0 <= s < len(groups) else AbelianGroup(0)
+    return groups[s] if s < len(groups) else AbelianGroup(0)
 
 
 def _count_at(counts, s):
     return counts[s] if s < len(counts) else 0
 
 
-def _reduced(alpha, groups):
-    """Reduced homology of the clique complex up to the top degree of
-    groups, a list ``chains.homology`` gave, by the simplicial route;
-    computed once per resolved bound and kept on the alphabet."""
+def _identity(claim, lhs, copies, units, free, counts):
+    """The report of lhs_s = copies U_s + Z^(free p_s) in every degree
+    s >= 1 of lhs, a list ``chains.homology`` gave, U_s and p_s being
+    zero past the end of units and of counts."""
+    return VerificationReport(claim, True, tuple(
+        DegreeComparison(s, lhs[s], copies * _at(units, s)
+                         + AbelianGroup(free * _count_at(counts, s)))
+        for s in range(1, len(lhs))))
+
+
+def _units(alpha, groups):
+    """U_s = the clique complex's reduced homology in degree s - 1, with
+    U_0 = 0, up to the top degree of groups, a list ``chains.homology``
+    gave, by the simplicial route; computed once per resolved bound and
+    kept on the alphabet."""
     top = len(groups) - 1
-    return list(_kept(alpha, "reduced", top, lambda: clique_complex(
-        alpha, top).reduced_homology()))
+    reduced = _kept(alpha, "reduced", top, lambda: clique_complex(
+        alpha, top).reduced_homology())
+    return [AbelianGroup(0)] + reduced
 
 
 def check_lemma_split(m, max_degree=None):
     """delta = punctured + Z^(p_s) in every degree s >= 1."""
     counts = clique_counts(m.alphabet, max_degree)
-    h_delta = homology(m, DELTA, max_degree)
-    h_punct = homology(m, PUNCTURED, max_degree)
-    comparisons = tuple(
-        DegreeComparison(s, h_delta[s],
-                         h_punct[s] + AbelianGroup(_count_at(counts, s)))
-        for s in range(1, len(h_delta)))
-    return VerificationReport("split", True, comparisons)
+    return _identity("split", homology(m, DELTA, max_degree), 1,
+                     homology(m, PUNCTURED, max_degree), 1, counts)
 
 
 def _closed_form(claim, m, system, max_degree, reference):
-    """H_s(m) against (N - c) U_s + Z^(c p_s) for s >= 1, N-A when m is
-    not full.  N - c is |X| less the cycles among the elements, as the
-    basepoint adds to both or to neither.  reference(H(m)) lists U_s."""
+    """H_s(m) against (N - c) U_s + Z^((c + system at *) p_s) for s >= 1,
+    N-A when m is not full.  reference(H(m)) lists U_s."""
     conditions = check_conditions(m)
     if not conditions.full:
         return VerificationReport(claim, False,
                                   note="; ".join(conditions.violations))
-    copies = len(m.elements) - conditions.cycles
-    cycles = conditions.cycles + system.value_at(BASEPOINT)
     h_m = homology(m, system, max_degree)
     counts = clique_counts(m.alphabet, max_degree)
-    units = reference(h_m)
-    comparisons = tuple(
-        DegreeComparison(s, h_m[s], copies * _at(units, s)
-                         + AbelianGroup(cycles * _count_at(counts, s)))
-        for s in range(1, len(h_m)))
-    return VerificationReport(claim, True, comparisons)
+    return _identity(claim, h_m, len(m.elements) - conditions.cycles,
+                     reference(h_m),
+                     conditions.cycles + system.value_at(BASEPOINT), counts)
 
 
 def check_prop_power(m, max_degree=None):
@@ -138,9 +140,8 @@ def check_prop_power(m, max_degree=None):
 def check_theorem_main(m, max_degree=None):
     """The closed form under DELTA, U_s being the clique complex's
     reduced homology one degree down."""
-    return _closed_form(
-        "main", m, DELTA, max_degree,
-        lambda h_m: [AbelianGroup(0)] + _reduced(m.alphabet, h_m))
+    return _closed_form("main", m, DELTA, max_degree,
+                        lambda h_m: _units(m.alphabet, h_m))
 
 
 def check_theorem_aug(alpha, max_degree=None):
@@ -150,11 +151,7 @@ def check_theorem_aug(alpha, max_degree=None):
     The two sides go through the two independent boundary
     implementations (chains vs simplicial)."""
     h_punct = homology(x0_mset(alpha), PUNCTURED, max_degree)
-    reduced = _reduced(alpha, h_punct)
-    comparisons = tuple(
-        DegreeComparison(n, h_punct[n], _at(reduced, n - 1))
-        for n in range(1, len(h_punct)))
-    return VerificationReport("aug", True, comparisons)
+    return _identity("aug", h_punct, 1, _units(alpha, h_punct), 0, ())
 
 
 ALL_CHECKS = ("split", "power", "main", "aug")

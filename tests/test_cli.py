@@ -21,7 +21,7 @@ from tracehom import alphabet, chains, verify
 from tracehom.chains import SYSTEMS, homology
 from tracehom.intlinalg import AbelianGroup
 from tracehom.cli import _json, main
-from tracehom.msets import PointedMSet
+from tracehom.msets import PointedMSet, chain_mset, x0_mset
 from tracehom.alphabet import IndependenceAlphabet
 from tracehom.simplicial import barycentric_flagification, read_face_list
 
@@ -195,6 +195,24 @@ def test_schema_flagify_of_a_long_face_stops_at_the_size_cap(tmp_path):
         f"at most; the limit is {alphabet._MASK_BITS_CAP}"]
     assert elapsed < 2.0
 
+
+def test_schema_flagify_of_a_15_vertex_face_stops_before_listing_pairs(
+        tmp_path):
+    """One face of 15 vertices has 32,767 nonempty subfaces, under the
+    face-list cap, but 3^15 - 2 * 2^15 + 1 = 14,283,372 (subface, face)
+    pairs, the 2-cliques of its flag alphabet: exit 2 naming that level
+    and the file, before any pair is listed."""
+    path = write(tmp_path, "faces.txt",
+                 " ".join(f"v{k}" for k in range(15)) + "\n")
+    start = time.perf_counter()
+    result = run_capped("schema", path, "--flagify")
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {path}: too large: clique level 2 would hold 14283372 "
+        f"cliques; the limit is {alphabet._SIZE_CAP}"]
+    assert elapsed < 2.0
 
 
 def test_schema_flagify_of_an_8_vertex_face_stops_at_the_complex_cap(
@@ -477,6 +495,40 @@ def test_verify_two_cycle_file_passes_power_and_main():
         "[PASS] aug degree 1: 0 = 0", "[PASS] aug degree 2: Z = Z"]
 
 
+def test_verify_grid_file_is_not_full():
+    """The 1x2 grid over the 4-cycle, read as {a, c} * {b, d}: a and c
+    step off the grid, b and d move x00 to x01.  split and aug still
+    apply; power and main name the point where the generators disagree.
+    Its PUNCTURED complex is the tensor product of those of a chain of 1
+    over {a, c} and a chain of 2 over {b, d}.  All their groups are
+    free, so by Kunneth H_n has rank the sum over i + j = n of the
+    products of their ranks: H_2 = Z (x) Z^2."""
+    path = PROBLEMS / "grid1x2_cycle4.json"
+    for coeff, groups in (("delta", ["Z", "Z^4", "Z^6"]),
+                          ("punctured", ["0", "0", "Z^2"]),
+                          ("basepoint", ["Z", "Z^4", "Z^4"])):
+        result = run("homology", path, "--coeff", coeff)
+        assert result.stdout.splitlines()[1:] == \
+            [f"H_{n} = {g}" for n, g in enumerate(groups)]
+    factors = [homology(make(IndependenceAlphabet(gens)), SYSTEMS["punctured"])
+               for make, gens in ((x0_mset, "ac"), (chain_mset, "bd"))]
+    assert factors == [[AbelianGroup(0), AbelianGroup(1)],
+                       [AbelianGroup(0), AbelianGroup(2)]]
+    assert [AbelianGroup(sum(g.free_rank * h.free_rank
+                             for i, g in enumerate(factors[0])
+                             for j, h in enumerate(factors[1]) if i + j == n))
+            for n in range(3)] == \
+        [AbelianGroup(0), AbelianGroup(0), AbelianGroup(2)]
+    result = run("verify", path)
+    assert result.exit_code == 0
+    not_full = ("action not full at 'x00': x00.a = *, x00.b = x01, "
+                "x00.c = *, x00.d = x01")
+    assert result.stdout.splitlines() == [
+        "[PASS] split degree 1: Z^4 = Z^4", "[PASS] split degree 2: Z^6 = Z^6",
+        f"[N-A ] power: {not_full}", f"[N-A ] main: {not_full}",
+        "[PASS] aug degree 1: 0 = 0", "[PASS] aug degree 2: Z = Z"]
+
+
 def test_verify_alphabet_only_file():
     result = run("verify", PROBLEMS / "cycle4.json")
     assert result.exit_code == 0
@@ -590,6 +642,23 @@ def test_iso_json():
     assert result.exit_code == 1
 
 
+def test_iso_reads_generators_in_any_declaration_order(tmp_path):
+    """The 4-cycle declared as d c b a presents the same monoid as
+    a b c d: the pair is isomorphic, with the witness and the count of
+    the pair declared in one order."""
+    doc = json.loads((PROBLEMS / "chain2_cycle4.json").read_text())
+    reordered = write(tmp_path, "reordered.json",
+                      dict(doc, generators=doc["generators"][::-1]))
+    for fmt in ("human", "json"):
+        same = run("iso", PROBLEMS / "chain2_cycle4.json",
+                   PROBLEMS / "chain2_cycle4.json", "--format", fmt)
+        result = run("iso", PROBLEMS / "chain2_cycle4.json", reordered,
+                     "--format", fmt)
+        assert (result.exit_code, result.stdout, result.stderr) == \
+            (0, same.stdout, "")
+    assert json.loads(result.stdout)["isomorphic"] is True
+
+
 def test_iso_alphabet_mismatch():
     result = run("iso", PROBLEMS / "chain2_cycle4.json",
                  PROBLEMS / "fan4_complete3.json")
@@ -634,6 +703,29 @@ def test_counterexample_negative_bound_compares_no_degrees(bound):
     assert payload["tables"] == {"delta": [], "punctured": []}
     assert payload["isomorphic"] is False
     assert payload["homology_equal"] is True
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_counterexample_exits_1_when_homology_differs(monkeypatch, fmt):
+    """A chain and fan whose homology differs in some degree fail the
+    claim: the table is printed in full, no verdict, and exit 1."""
+    z, zero = AbelianGroup(1), AbelianGroup(0)
+    table = (verify.DegreeComparison(0, z, z),
+             verify.DegreeComparison(1, z, zero))
+    monkeypatch.setattr(
+        verify, "counterexample_report",
+        lambda alpha, max_degree: verify.CounterexampleReport(
+            False, None, 2, {"delta": table}))
+    result = run("counterexample", PROBLEMS / "cycle4.json", "--format", fmt)
+    assert result.exit_code == 1
+    if fmt == "json":
+        payload = json.loads(result.stdout)
+        assert payload["homology_equal"] is False
+        assert [row["equal"] for row in payload["tables"]["delta"]] == \
+            [True, False]
+    else:
+        assert result.stdout.splitlines()[-3:] == [
+            "delta:", "  H_0: Z = Z  ok", "  H_1: Z = 0  MISMATCH"]
 
 
 def test_counterexample_empty_alphabet(tmp_path):
@@ -885,6 +977,29 @@ def test_iso_names_the_file_with_the_malformed_alphabet(tmp_path, bad_side):
         f"error: {paths[bad_side]}: independence pair 'ab' is not a pair "
         "of generator names"]
     assert str(paths[1 - bad_side]) not in result.stderr
+
+
+@pytest.mark.parametrize("doc, messages", [
+    ({"generators": "ab", "independence": [["a", "b"]], "extra": 1},
+     ["unknown key 'extra'", '"generators" must be a list of strings',
+      "independence pair ('a', 'b') names unknown generators"]),
+    ({"generators": ["a", "b"], "independence": {"a": "b"}, "extra": 1},
+     ["unknown key 'extra'", '"independence" must be a list of pairs']),
+    ({"generators": ["e"], "elements": "x0", "action": {"x0": {"e": "*"}}},
+     ['"elements" must be a list of strings']),
+    ({"generators": ["e"], "elements": ["x0"], "action": [["x0", "*"]]},
+     ['"action" must map elements to generator-to-target objects']),
+    ({"generators": ["e"], "elements": ["x0"], "action": {"x0": "*"}},
+     ['"action" must map elements to generator-to-target objects']),
+], ids=["generators", "independence", "elements", "action", "action-row"])
+def test_wrong_container_types_all_listed(tmp_path, doc, messages):
+    """A key holding the wrong kind of JSON value exits 2 naming the
+    file; an alphabet's problems are listed with any unknown key."""
+    path = write(tmp_path, "types.json", doc)
+    result = run("homology", path)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == [f"error: {path}: {m}"
+                                          for m in messages]
 
 
 def test_malformed_element_and_target_all_listed(tmp_path):
