@@ -7,9 +7,15 @@ Exit codes: 0 success, 1 a semantic check failed (a FAIL verdict, a
 negative isomorphism test, or a chain and fan whose homology differs),
 2 a usage error, malformed input, or an input whose cliques or chain
 complex would be too large to list.
+
+The commands and their options are declared once, in ``_COMMANDS``.
+A well-formed command line is read straight from that table; argparse
+is imported, and its parser built from the same table, only for
+``--help`` and usage errors, so their text and exit code 2 are
+argparse's own.
 """
 
-import argparse
+import functools
 import gc
 import json
 import sys
@@ -295,14 +301,98 @@ def cmd_counterexample(problem, fmt, max_degree):
         sys.exit(1)
 
 
+_FORMAT = ("--format", "fmt", ("human", "json"), "human",
+           "Output format (default: %(default)s).")
+_MAX_DEGREE = ("--max-degree", "max_degree", int, None,
+               "Compute and report degrees up to this bound (default: "
+               "largest clique size); a negative bound reports none.")
+
+#: Each command's function, the metavars of its positionals (each one's
+#: dest is its metavar in lower case) and its options, each as (flag,
+#: dest, kind, default, help): kind is a tuple of choices, int for an
+#: integer value (metavar N), or bool for a switch.  `_parse` reads
+#: well-formed command lines from this table; `_build_parser` builds
+#: argparse's parser from it.
+_COMMANDS = {
+    "homology": (cmd_homology, ("PROBLEM",), (
+        ("--coeff", "coeff", tuple(sorted(chains.SYSTEMS)), "delta",
+         "Coefficient system (default: %(default)s)."),
+        _FORMAT, _MAX_DEGREE)),
+    "schema": (cmd_schema, ("SOURCE",), (_FORMAT, (
+        "--flagify", "flagify", bool, False,
+        "Treat SOURCE as a face list (one maximal face per line) and "
+        "build the alphabet of its faces first."))),
+    "verify": (cmd_verify, ("PROBLEM",), (_FORMAT, _MAX_DEGREE, (
+        "--which", "which", verify.ALL_CHECKS + ("all",), "all",
+        "Which identity (default: %(default)s)."))),
+    "iso": (cmd_iso, ("LEFT", "RIGHT"), (_FORMAT,)),
+    "counterexample": (cmd_counterexample, ("PROBLEM",),
+                       (_FORMAT, _MAX_DEGREE)),
+}
+
+
+def _parse(argv):
+    """What ``vars(_build_parser().parse_args(argv))`` returns, for a
+    well-formed argv; None for any other.
+
+    Well-formed is a command, then its positionals and options in any
+    order, each option given once or more (the last wins) by its full
+    flag, a value after ``=`` or in the next word.  None comes back for
+    ``-h``, ``--help``, ``--``, an unknown or abbreviated option, a
+    value that starts with ``-``, is outside its choices or is not an
+    integer (read with int, as argparse does), ``=`` on a switch, or the
+    wrong number of positionals.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    run, positionals, options = _COMMANDS[argv[0]]
+    by_flag = {option[0]: option for option in options}
+    args = {dest: default for _, dest, _, default, _ in options}
+    args["run"] = run
+    values = []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            values.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in by_flag:
+            return None
+        _, dest, kind, _, _ = by_flag[flag]
+        if kind is bool:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:  # a missing value reads as "-", refused below
+                value = next(words, "-")
+            if value.startswith("-"):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif value not in kind:
+                return None
+        args[dest] = value
+    if len(values) != len(positionals):
+        return None
+    args.update(zip(map(str.lower, positionals), values))
+    return args
+
+
+@functools.cache
 def _build_parser():
+    """argparse's parser for `_COMMANDS`, built on first use: it reads
+    every argv that `_parse` does not, for help and usage errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tracehom", allow_abbrev=False,
         description="Exact integer homology of pointed sets over trace "
                     "monoids.")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
-
-    def command(name, run, *positionals, coeff=False, max_degree=False):
+    for name, (run, positionals, options) in _COMMANDS.items():
         doc = run.__doc__
         sub = commands.add_parser(name, allow_abbrev=False,
                                   help=doc.split("\n\n")[0],
@@ -310,35 +400,16 @@ def _build_parser():
         sub.set_defaults(run=run)
         for metavar in positionals:
             sub.add_argument(metavar.lower(), metavar=metavar)
-        if coeff:
-            sub.add_argument("--coeff", choices=sorted(chains.SYSTEMS),
-                             default="delta",
-                             help="Coefficient system (default: %(default)s).")
-        sub.add_argument("--format", dest="fmt", choices=["human", "json"],
-                         default="human",
-                         help="Output format (default: %(default)s).")
-        if max_degree:
-            sub.add_argument(
-                "--max-degree", type=int, metavar="N",
-                help="Compute and report degrees up to this bound "
-                     "(default: largest clique size); a negative bound "
-                     "reports none.")
-        return sub
-
-    command("homology", cmd_homology, "PROBLEM", coeff=True, max_degree=True)
-    command("schema", cmd_schema, "SOURCE").add_argument(
-        "--flagify", action="store_true",
-        help="Treat SOURCE as a face list (one maximal face per line) and "
-             "build the alphabet of its faces first.")
-    command("verify", cmd_verify, "PROBLEM", max_degree=True).add_argument(
-        "--which", choices=verify.ALL_CHECKS + ("all",), default="all",
-        help="Which identity (default: %(default)s).")
-    command("iso", cmd_iso, "LEFT", "RIGHT")
-    command("counterexample", cmd_counterexample, "PROBLEM", max_degree=True)
+        for flag, dest, kind, default, text in options:
+            if kind is bool:
+                how = {"action": "store_true"}
+            elif kind is int:
+                how = {"type": int, "metavar": "N"}
+            else:
+                how = {"choices": kind}
+            sub.add_argument(flag, dest=dest, default=default, help=text,
+                             **how)
     return parser
-
-
-_PARSER = _build_parser()
 
 
 def main(argv=None, standalone_mode=True):
@@ -351,12 +422,19 @@ def main(argv=None, standalone_mode=True):
     ignored: the benchmark (``perfbench/worker.py``) passes
     ``standalone_mode=False``.
 
+    argv is read by `_parse` when it is well formed; otherwise argparse
+    reads it, printing help or a usage error (exit 2) where it must.
+
     The command runs with the cyclic garbage collector paused, since a
     pass would only rescan the matrices it holds, and the collector's
     state is restored however the command ends.  Reference counting
     frees everything a command allocates.
     """
-    args = vars(_PARSER.parse_args(argv))
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracehom import alphabet, chains, verify
+from tracehom import alphabet, chains, cli, verify
 from tracehom.chains import SYSTEMS, homology
 from tracehom.intlinalg import AbelianGroup
 from tracehom.cli import _json, main
@@ -840,6 +840,102 @@ def test_usage_errors_and_unreadable_inputs_exit_2(tmp_path, args, token):
     assert token.format(**paths) in result.stderr
 
 
+FLAG_VALUES = {"--coeff": sorted(SYSTEMS), "--format": ["human", "json"],
+               "--max-degree": ["-1", "-1_0", "0", "3", "+4", "1_0"],
+               "--which": [*verify.ALL_CHECKS, "all"], "--flagify": []}
+POSITIONAL_WORDS = ["p.json", "q", "", "+4", "homology"]
+ARGV_WORDS = st.sampled_from([
+    *cli._COMMANDS, "frob", *FLAG_VALUES,
+    *(flag + "=" for flag in FLAG_VALUES),
+    *(value for values in FLAG_VALUES.values() for value in values),
+    *POSITIONAL_WORDS, "bogus", "Delta", "-", "--", "-h", "--help",
+    "--form"])
+FLAG_EQUALS_WORD = st.builds("{}={}".format, st.sampled_from(
+    sorted(FLAG_VALUES)), ARGV_WORDS)
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed command line, its options and positionals in any
+    order, then up to two edits, each inserting, replacing or deleting
+    one word.  An edit writes a word of a fixed vocabulary (every
+    command, flag, choice and a few more words, with bogus ones among
+    them) or flag=word, so that most edited lines are near misses."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, positionals, options = cli._COMMANDS[command]
+    pieces = [(draw(st.sampled_from(POSITIONAL_WORDS)),)
+              for _ in positionals]
+    for flag, *_ in draw(st.lists(st.sampled_from(options), max_size=3)):
+        if FLAG_VALUES[flag]:
+            value = draw(st.sampled_from(FLAG_VALUES[flag]))
+            pieces.append(draw(st.sampled_from(
+                [(flag, value), (f"{flag}={value}",)])))
+        else:
+            pieces.append((flag,))
+    order = draw(st.permutations(range(len(pieces))))
+    argv = [command, *(word for k in order for word in pieces[k])]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            argv.insert(at, draw(ARGV_WORDS | FLAG_EQUALS_WORD))
+        elif at < len(argv) and edit == "replace":
+            argv[at] = draw(ARGV_WORDS | FLAG_EQUALS_WORD)
+        elif at < len(argv):
+            del argv[at]
+    return argv
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(argvs())
+def test_argv_reader_agrees_with_argparse(argv):
+    """Whatever argv the command table's reader accepts, argparse
+    accepts and reads to the same arguments; the rest go to argparse."""
+    args = cli._parse(argv)
+    if args is None:
+        return
+    try:
+        expected = vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}, which _parse accepts")
+    assert args == expected
+
+
+FAST_PATH_CALLS = [
+    ("homology", "x0_cycle4.json"),
+    ("schema", "cycle4.json"),
+    ("verify", "x0_cycle4.json"),
+    ("iso", "chain2_cycle4.json", "fan2_cycle4.json"),
+    ("counterexample", "cycle4.json"),
+    ("homology", "x0_cycle4.json", "--format", "json"),
+    *[("homology", "--coeff", coeff, "x0_cycle4.json")
+      for coeff in sorted(SYSTEMS)],
+    ("homology", "x0_cycle4.json", "--max-degree", "1"),
+    ("counterexample", "--max-degree=0", "cycle4.json"),
+    *[("verify", "x0_cycle4.json", "--which", which)
+      for which in (*verify.ALL_CHECKS, "all")],
+    ("schema", "--flagify", "rp2_faces.txt", "--format=json"),
+    ("iso", "--format", "json", "x0_cycle4.json", "x0_cycle4.json"),
+]
+
+
+@pytest.mark.parametrize("args", FAST_PATH_CALLS, ids=" ".join)
+def test_well_formed_command_lines_skip_argparse(monkeypatch, args):
+    """Each well-formed command line runs without argparse's parser, so
+    that a silent fall back on it cannot cost the import it saves."""
+    expected = vars(cli._build_parser().parse_args(args))
+    assert cli._parse(args) == expected
+
+    def refuse():
+        raise AssertionError("argparse's parser was built")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    monkeypatch.chdir(PROBLEMS)
+    result = run(*args)
+    assert result.exit_code in (0, 1), result.stderr
+    assert result.stdout and not result.stderr
+
+
 def test_main_in_process(capsys, monkeypatch):
     """``main(argv, standalone_mode=False)``, as the benchmark drives it:
     it returns on success and raises SystemExit with the exit code
@@ -1068,12 +1164,32 @@ def test_non_ascii_output_survives_an_ascii_stdout(tmp_path):
 
 def test_imports_only_the_standard_library():
     """With site-packages hidden (-S) and PYTHONPATH ignored (-E), the
-    command line still imports from the checkout."""
+    command line still imports from the checkout.  -E also ignores
+    PYTHONDONTWRITEBYTECODE, so -B keeps the child from writing
+    bytecode into src/."""
     code = f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); " \
         "import tracehom.cli"
-    done = subprocess.run([sys.executable, "-S", "-E", "-c", code],
+    done = subprocess.run([sys.executable, "-B", "-S", "-E", "-c", code],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_well_formed_command_line_leaves_argparse_unimported():
+    """Neither importing the command line nor running a well-formed
+    command imports argparse, nor gettext and locale, which argparse
+    imports for its messages."""
+    code = (f"import sys; sys.path.insert(0, {str(REPO / 'src')!r})\n"
+            "names = {'argparse', 'gettext', 'locale'}\n"
+            "import tracehom.cli\n"
+            "print(sorted(names & set(sys.modules)))\n"
+            "tracehom.cli.main(['schema', sys.argv[1], '--format=json'])\n"
+            "print(sorted(names & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-B", "-S", "-E", "-c", code,
+                           str(PROBLEMS / "cycle4.json")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
 
 
 def test_python_m_tracehom(tmp_path):
