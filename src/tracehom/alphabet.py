@@ -74,31 +74,34 @@ class IndependenceAlphabet:
             else:
                 index[g] = k
         pairs = set()
+        # bit j of later[i] marks the pair (i, j), for i < j
+        later = [0] * len(gens)
         for pair in independence:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(isinstance(g, str) for g in pair)):
+                    and isinstance(pair[0], str)
+                    and isinstance(pair[1], str)):
                 problems.append(f"independence pair {pair!r} is not a pair "
                                 "of generator names")
                 continue
             a, b = pair
-            if a not in index or b not in index:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 problems.append(f"independence pair ({a!r}, {b!r}) "
                                 "names unknown generators")
-            elif a == b:
+            elif i == j:
                 problems.append(f"independence pair ({a!r}, {a!r}) "
                                 "is reflexive")
-            else:
-                if index[a] > index[b]:
-                    a, b = b, a
+            elif i < j:
                 pairs.add((a, b))
+                later[i] |= 1 << j
+            else:
+                pairs.add((b, a))
+                later[j] |= 1 << i
         if problems:
             raise ValidationError(problems)
         self.generators = gens
         self.pairs = frozenset(pairs)
         self._index = index
-        later = [0] * len(gens)
-        for a, b in pairs:
-            later[index[a]] |= 1 << index[b]
         # clique table: level k is the record of the k-cliques, as
         # _next_level gives it.  The 1-cliques' masks are the
         # later-neighbour masks themselves, and their parent is the
@@ -226,12 +229,16 @@ def clique_counts(alpha, top=None):
     p_0 = 1 for the empty clique, so an alphabet with no independence at
     all still reports [1, n].
     """
+    # a level already grown is read off the table; only a level above
+    # them all, and not above top, is grown
+    table = alpha._cliques
     counts = [1]
     while top is None or len(counts) <= top:
-        n = len(_level(alpha, len(counts))[0])
-        if not n:
+        k = len(counts)
+        masks = table[k][0] if k < len(table) else _level(alpha, k)[0]
+        if not masks:
             break
-        counts.append(n)
+        counts.append(len(masks))
     return counts
 
 

@@ -62,13 +62,18 @@ def _json(value, indent="\n"):
     if isinstance(value, int):
         return int.__repr__(value)
     inner = indent + "  "
+    # a str or int child (not a bool) is written here, without recursing
     if isinstance(value, dict):
         ends = "{}"
-        items = [_quote(k) + ": " + _json(v, inner)
-                 for k, v in value.items()]
+        items = [_quote(k) + ": " + (
+            _quote(v) if type(v) is str else
+            repr(v) if type(v) is int else _json(v, inner))
+            for k, v in value.items()]
     elif isinstance(value, (list, tuple)):
         ends = "[]"
-        items = [_json(v, inner) for v in value]
+        items = [_quote(v) if type(v) is str else
+                 repr(v) if type(v) is int else _json(v, inner)
+                 for v in value]
     else:
         raise TypeError(f"cannot write {type(value).__name__} as JSON")
     if not items:

@@ -413,11 +413,15 @@ class AbelianGroup:
         free_rank = _integer(free_rank, "free rank")
         if free_rank < 0:
             raise ValueError(f"negative free rank {free_rank}")
+        self.free_rank = free_rank
+        # most groups a run makes are free: no factor to check or chain
+        if isinstance(torsion, (tuple, list)) and not torsion:
+            self.torsion = ()
+            return
         factors = [_integer(d, "torsion factor") for d in torsion]
         for d in factors:
             if d < 1:
                 raise ValueError(f"torsion factor {d} < 1")
-        self.free_rank = free_rank
         self.torsion = tuple(d for d in _divisor_chain(factors) if d > 1)
 
     def __eq__(self, other):
@@ -514,9 +518,12 @@ def homology_of_complex(boundaries):
         d = boundaries[n]
         drop = () if above is None else above.pivot_rows
         if n and boundaries[n - 1].columns:
-            dropped = set(drop)
-            kept = IntegerMatrix._unchecked(d.rows, d.cols, {
-                j: col for j, col in d.columns.items() if j not in dropped})
+            kept = d
+            if drop:
+                dropped = set(drop)
+                kept = IntegerMatrix._unchecked(d.rows, d.cols, {
+                    j: col for j, col in d.columns.items()
+                    if j not in dropped})
             if not (boundaries[n - 1] @ kept).is_zero():
                 raise BoundaryCompositionError(
                     f"d_{n - 1} o d_{n} is not zero")

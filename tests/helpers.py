@@ -464,6 +464,39 @@ def brute_force_cliques(alpha, k):
     return out
 
 
+def alphabet_problems(generators, independence):
+    """The problems ``IndependenceAlphabet(generators, independence)``
+    reports, in its order: first one per bad generator, in declaration
+    order, then one per bad pair, in the order given.  A name is good
+    when it is a nonempty string other than '*' that no earlier entry
+    spells; a pair is two strings, both good names, and not the same
+    name twice."""
+    generators = list(generators)
+    good = []
+    problems = []
+    for k, g in enumerate(generators):
+        if type(g) is not str or g == "":
+            problems.append(f"generator #{k} is not a nonempty string")
+        elif g == "*":
+            problems.append("generator name '*' is reserved")
+        elif g in good:
+            problems.append(f"duplicate generator {g!r}")
+        else:
+            good.append(g)
+    for pair in independence:
+        shaped = type(pair) in (list, tuple) and len(pair) == 2
+        if not shaped or not all(type(g) is str for g in pair):
+            problems.append(f"independence pair {pair!r} is not a pair of "
+                            "generator names")
+        elif not set(pair) <= set(good):
+            problems.append(f"independence pair {tuple(pair)!r} names "
+                            "unknown generators")
+        elif pair[0] == pair[1]:
+            problems.append(f"independence pair {tuple(pair)!r} is "
+                            "reflexive")
+    return problems
+
+
 def brute_force_iso(m1, m2):
     """The first basepoint-preserving equivariant bijection from m1 to
     m2 as a dict, or None: each ordering of m2's elements, in the order

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import alphabets, brute_force_cliques, random_alphabet
+from helpers import (alphabet_problems, alphabets, brute_force_cliques,
+                     random_alphabet)
 
 from tracehom import ValidationError
 from tracehom.alphabet import (IndependenceAlphabet, _level, clique_counts,
@@ -57,6 +58,37 @@ def test_all_problems_reported_at_once():
     assert len(exc.value.problems) == 6
 
 
+#: names a generator list may hold, '' and '*' among them, and values
+#: that are no name at all
+_NAMES = st.sampled_from(["a", "b", "c", "", "*"])
+_NOT_NAMES = st.sampled_from([None, 0, 1.5, True, ["a"], ("a",), b"a"])
+_MEMBERS = st.one_of(_NAMES, st.just("z"), _NOT_NAMES)
+_PAIRS = st.one_of(
+    st.lists(_MEMBERS, max_size=3),
+    st.lists(_MEMBERS, max_size=3).map(tuple),
+    st.tuples(_NAMES, _NAMES),
+    st.sampled_from(["ab", None, 2, {"a": "b"}]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(_NAMES, _NOT_NAMES), max_size=6),
+       st.lists(_PAIRS, max_size=6))
+def test_problems_match_the_oracle(generators, independence):
+    """Whatever the generators and pairs, the alphabet reports exactly
+    the problems the brute-force oracle lists, in its order, or none;
+    without problems it keeps each pair once, in declaration order."""
+    expected = alphabet_problems(generators, independence)
+    try:
+        alpha = IndependenceAlphabet(generators, independence)
+    except ValidationError as exc:
+        assert list(exc.problems) == expected
+        return
+    assert expected == []
+    order = {g: k for k, g in enumerate(generators)}
+    assert alpha.pairs == {tuple(sorted(pair, key=order.get))
+                           for pair in independence}
+
+
 def test_index_declaration_order():
     assert [CYCLE4.index(g) for g in "abcd"] == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="unknown"):
@@ -94,6 +126,27 @@ def test_clique_counts():
     assert clique_counts(FREE3) == [1, 3]
     assert clique_counts(CYCLE4) == [1, 4, 4]
     assert clique_counts(IndependenceAlphabet([])) == [1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_clique_counts_at_every_bound(data):
+    """Asked for every bound from -1 to w+2 in any order, clique_counts
+    gives the brute-force counts cut at the bound, [1] at the least.  On
+    a fresh alphabet a bounded call grows every level up to the bound
+    that has cliques below it, and none above."""
+    alpha = data.draw(alphabets(max_size=8))
+    counts = [1]
+    while brute_force_cliques(alpha, len(counts)):
+        counts.append(len(brute_force_cliques(alpha, len(counts))))
+    w = len(counts) - 1
+    for top in data.draw(st.permutations(range(-1, w + 3))):
+        assert clique_counts(alpha, top) == counts[:max(top, 0) + 1]
+        fresh = IndependenceAlphabet(alpha.generators, alpha.pairs)
+        assert clique_counts(fresh, top) == counts[:max(top, 0) + 1]
+        # levels 0 and 1 come with the alphabet; level w+1 is empty
+        assert len(fresh._cliques) == max(2, min(top, w + 1) + 1)
+    assert clique_counts(alpha) == counts
 
 
 def test_max_clique_size():

@@ -2,6 +2,7 @@ import ast
 import json
 import random
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -622,17 +623,24 @@ def test_chains_reads_the_clique_table_through_alphabet_alone():
         "enumerate_cliques", "max_clique_size"}
 
 def test_bounded_complex_lists_no_higher_clique():
-    """top=1 needs d_2, whose columns are the 2-cliques: levels 0 to 2
-    are grown, with the growth record of level 2 for d_2's face table.
-    No level above is grown and no clique is named, so no 3-clique is
-    known."""
+    """A bound top needs d_top+1, whose columns are the (top+1)-cliques:
+    levels 0 to top+1 are grown (0 and 1 come with the alphabet, and
+    none above w+1 = 7 exists), with the growth record of each level
+    from 1 to top+1 that has cliques for its face table.  So top=1
+    grows levels 0 to 2 and knows no 3-clique.  No level above is grown
+    and no clique is named.  Every bound from -1 to w+2 is asked, each
+    on a fresh alphabet."""
     gens = [f"e{k}" for k in range(6)]
-    m = x0_mset(IndependenceAlphabet(gens, combinations(gens, 2)))
-    maps = build_complex(m, DELTA, top=1)
-    assert len(maps) - 2 == 1
-    assert [len(masks) for masks, _, _ in m.alphabet._cliques] == [1, 6, 15]
-    assert "names" not in m.alphabet._kept
-    assert sorted(m.alphabet._kept["faces"]) == [1, 2]
+    for top in range(-1, 9):
+        m = x0_mset(IndependenceAlphabet(gens, combinations(gens, 2)))
+        maps = build_complex(m, DELTA, top=top)
+        assert len(maps) - 2 == top
+        grown = max(1, min(top + 1, 7))
+        assert [len(masks) for masks, _, _ in m.alphabet._cliques] == \
+            [comb(6, k) for k in range(grown + 1)]
+        assert "names" not in m.alphabet._kept
+        assert sorted(m.alphabet._kept.get("faces", ())) == \
+            list(range(1, min(top + 1, 6) + 1))
 
 
 def test_bound_above_the_largest_clique_builds_up_to_it(monkeypatch):

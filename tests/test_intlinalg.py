@@ -594,6 +594,33 @@ def test_group_rejects_non_integral_input():
     assert AbelianGroup(True, (2,)) == AbelianGroup(1, (2,))
 
 
+def test_free_group_every_way_it_is_made():
+    """A group with no torsion skips the factor checks, and is still the
+    group any other spelling of Z^3 gives."""
+    spellings = [AbelianGroup(3), AbelianGroup(3, ()), AbelianGroup(3, []),
+                 AbelianGroup(3, [1, 1]), 3 * AbelianGroup(1),
+                 AbelianGroup(1) + AbelianGroup(2)]
+    for g in spellings:
+        assert g == spellings[0]
+        assert hash(g) == hash(spellings[0])
+        assert g.torsion == ()
+        assert str(g) == "Z^3"
+        assert repr(g) == "AbelianGroup(3, ())"
+    for torsion in ((), []):
+        with pytest.raises(TypeError) as exc:
+            AbelianGroup(1.5, torsion)
+        assert str(exc.value) == "free rank 1.5 is not an integer"
+        with pytest.raises(ValueError) as exc:
+            AbelianGroup(-1, torsion)
+        assert str(exc.value) == "negative free rank -1"
+        with pytest.raises(TypeError) as exc:
+            AbelianGroup("3", torsion)
+        assert str(exc.value) == "free rank '3' is not an integer"
+    # a torsion that is not a sequence still has to be iterable
+    with pytest.raises(TypeError):
+        AbelianGroup(1, 0)
+
+
 def test_group_str():
     assert str(AbelianGroup(0)) == "0"
     assert str(AbelianGroup(1)) == "Z"
