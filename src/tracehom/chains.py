@@ -24,10 +24,13 @@ is built once per coefficient system and kept on the action.  The two
 terms of a face cancel when x.e_s = x and are left out; no other two
 terms of a column share a row, so each entry is stored once, as +-1,
 into one row-keyed dict per column.  A column left empty is not
-stored.  A boundary with no n-cliques, or with every rank-1 point
-fixed by every generator, is zero and is returned without a face
-table.  Only the public ``IntegerMatrix`` constructor validates
-entries; the builder's columns are handed over unchecked.
+stored.  Row and column numbers are index objects: entries of one list
+of ints kept on the alphabet, so every boundary over it, in every
+system and for every action, keys a basis index by the same object.
+A boundary with no n-cliques, or with every rank-1 point fixed by
+every generator, is zero and is returned without a face table.  Only
+the public ``IntegerMatrix`` constructor validates entries; the
+builder's columns are handed over unchecked.
 
 ``build_complex`` lists the boundaries d_0 .. d_top+1 that
 ``homology_of_complex`` takes, and nothing else: the dimension of
@@ -35,10 +38,10 @@ degree n is the column count of d_n, and a complex of more than
 ``alphabet._SIZE_CAP`` basis elements in all is refused before any map
 is built.  The alphabet and the image table determine the whole complex,
 so ``homology`` keeps its groups on the alphabet under the image table.
-Face tables, image tables and groups are all kept through
-``alphabet._kept``.  There are no chains above the largest clique size
-w, so ``homology`` builds nothing above degree w + 1 and pads the
-groups with zeros; a bound that would report more than
+Face tables, image tables, index objects and groups are all kept
+through ``alphabet._kept``.  There are no chains above the largest
+clique size w, so ``homology`` builds nothing above degree w + 1 and
+pads the groups with zeros; a bound that would report more than
 ``alphabet._SIZE_CAP`` groups is refused.
 """
 
@@ -129,31 +132,45 @@ def boundary_matrix(m, system, degree):
     p_lo, p_up = (clique_counts(alpha, degree)[degree - 1:] + [0, 0])[:2]
     shape = len(images) * p_lo, len(images) * p_up
     fixed = (-1,) * len(alpha.generators)
-    if not p_up or all(image == fixed for image in images):
+    if not p_up or images.count(fixed) == len(images):
         # no columns, or every face's two terms cancel at every point
         return IntegerMatrix._unchecked(*shape, {})
     faces = _face_table(alpha, degree)
+    numbers = _numbers(alpha, max(shape))
+    # the row numbers of each point's block in degree n-1
+    blocks = [numbers[j * p_lo:(j + 1) * p_lo] for j in range(len(images))]
     columns = {}
     for k, image in enumerate(images):
         if image == fixed:
             # every face's two terms cancel: the columns are zero
             continue
-        # row offset of each generator's image; None and -1 as in the
-        # image table
-        offset = [j if j is None or j == -1 else j * p_lo for j in image]
-        own = k * p_lo
+        # the block of each generator's image: None for rank 0, and the
+        # point's own block where the two terms cancel
+        own = blocks[k]
+        block = [own if j == -1 else j if j is None else blocks[j]
+                 for j in image]
         for col, clique_faces in enumerate(faces, k * p_up):
             column = {}
             for f, s, sign in clique_faces:
-                y = offset[s]
-                if y == -1:
+                y = block[s]
+                if y is own:
                     continue
                 if y is not None:
-                    column[y + f] = sign
-                column[own + f] = -sign
+                    column[y[f]] = sign
+                column[own[f]] = -sign
             if column:
-                columns[col] = column
+                columns[numbers[col]] = column
     return IntegerMatrix._unchecked(*shape, columns)
+
+
+def _numbers(alpha, count):
+    """The ints 0 .. count-1, one object per basis index, kept on the
+    alphabet and extended in place, so that every boundary over it keys
+    its rows and columns by the same objects."""
+    numbers = _kept(alpha, "numbers", None, list)
+    if len(numbers) < count:
+        numbers.extend(range(len(numbers), count))
+    return numbers
 
 
 def build_complex(m, system, top=None):

@@ -93,11 +93,21 @@ class PointedMSet:
                     targets[e] = y
         if not problems:
             # the squares at the elements, in any order: those at '*'
-            # hold, as its row is all '*'.  The failures, if any, sorted
-            # by pair and then by carrier point
+            # hold, as its row is all '*'.  So do those at a constant
+            # row x -> y whose image's row is constant too, as
+            # (x.a).b = (x.b).a = y's common image.  The failures, if
+            # any, sorted by pair and then by carrier point
             failures = []
             pairs = alphabet.pairs
+            common = {}
+            if pairs:
+                for x, row in rows.items():
+                    images = set(row.values())
+                    if len(images) == 1:
+                        common[x] = images.pop()
             for k, x in enumerate(carrier[:-1]):
+                if common.get(x) in common:
+                    continue
                 row = rows[x]
                 for a, b in pairs:
                     lhs = rows[row[a]][b]

@@ -29,10 +29,13 @@ class SimplicialComplex:
     under taking faces, level by level.  That check looks each facet up
     once and keeps the result: for each k-simplex with k >= 1, the row
     indices of its facets in level k - 1, in ``combinations`` order (the
-    last vertex dropped first).  The boundaries are filled from that table.
+    last vertex dropped first).  The boundaries are filled from that
+    table.  Row and column numbers, in the table, the boundaries and the
+    augmentation alike, come from one list of ints per complex, so every
+    map keys a basis index by the same object.
     """
 
-    __slots__ = ("vertices", "simplices", "_facets")
+    __slots__ = ("vertices", "simplices", "_facets", "_numbers")
 
     def __init__(self, vertices, simplices):
         self.vertices = tuple(vertices)
@@ -61,11 +64,13 @@ class SimplicialComplex:
                         [f"simplex {simplex!r} is listed twice"])
             levels.append([simplex for _, simplex in keyed])
         self.simplices = levels
+        self._numbers = numbers = list(range(max(map(len, levels),
+                                                 default=0)))
         # _facets[k - 1][c]: the rows in level k - 1 of the facets of
         # simplex c of level k
         self._facets = []
         for k in range(1, len(levels)):
-            lower = {s: i for i, s in enumerate(levels[k - 1])}.get
+            lower = dict(zip(levels[k - 1], numbers)).get
             rows = []
             for simplex in levels[k]:
                 row = list(map(lower, combinations(simplex, k)))
@@ -112,7 +117,8 @@ class SimplicialComplex:
     def augmentation(self):
         """The all-ones map from vertices to Z."""
         return IntegerMatrix._unchecked(
-            1, self.count(0), {j: {0: 1} for j in range(self.count(0))})
+            1, self.count(0),
+            {j: {0: 1} for j in self._numbers[:self.count(0)]})
 
     def boundary_matrix(self, k):
         """Standard simplicial boundary from dimension k to k - 1.
@@ -139,7 +145,7 @@ class SimplicialComplex:
         return IntegerMatrix._unchecked(
             self.count(k - 1), self.count(k),
             {c: dict(zip(row, signs))
-             for c, row in enumerate(self._facets[k - 1])})
+             for c, row in zip(self._numbers, self._facets[k - 1])})
 
     def reduced_homology(self):
         """Reduced homology groups in degrees 0 .. dim.

@@ -605,6 +605,52 @@ def test_each_face_table_is_built_once(monkeypatch):
 
 
 
+def assert_one_object_per_index(maps, seen):
+    """Every row and column key of the maps is the first object seen
+    with its value."""
+    for d in maps:
+        for j, column in d.columns.items():
+            assert seen.setdefault(j, j) is j
+            for i in column:
+                assert seen.setdefault(i, i) is i
+
+
+def check_one_object_per_index(m, later):
+    """The maps of m's complex in every system, then the boundaries of a
+    later action over the same alphabet, key each basis index by one
+    object; so do the boundaries and the augmentation of the alphabet's
+    clique complex, among themselves."""
+    alpha = m.alphabet
+    seen = {}
+    for system in SYSTEMS.values():
+        assert_one_object_per_index(build_complex(m, system), seen)
+    assert_one_object_per_index(
+        [boundary_matrix(later, DELTA, n)
+         for n in range(1, max_clique_size(alpha) + 2)], seen)
+    cx = clique_complex(alpha)
+    assert_one_object_per_index(
+        [cx.augmentation()]
+        + [cx.boundary_matrix(k) for k in range(1, cx.dim + 2)], {})
+
+
+def test_one_object_per_index_on_sd2_rp2():
+    """sd2(RP2) under a fan of two has 543 basis elements in degree 1
+    and more above, past the ints that CPython shares anyway."""
+    alpha = sd2_rp2()
+    check_one_object_per_index(
+        fan_mset(alpha),
+        full_action_from_successor(alpha, {"x0": "x1", "x1": "x2",
+                                           "x2": "x0", "x3": BASEPOINT}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_object_per_index_on_drawn_actions(data):
+    alpha = data.draw(alphabets(max_size=8))
+    check_one_object_per_index(data.draw(actions(alpha)),
+                               data.draw(actions(alpha)))
+
+
 def test_chains_reads_the_clique_table_through_alphabet_alone():
     """Only ``alphabet`` knows the layout of a clique level's record:
     chains.py imports from it no more than these names."""

@@ -137,11 +137,13 @@ def test_commutation_not_checked_when_cells_missing():
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_validation_matches_the_brute_force_square_check(data):
-    """A valid drawn action or a table drawn cell by cell, its
-    basepoint row omitted or written out, with up to three cells missing
-    or moved, the basepoint's included.  The oracle checks the squares
-    at the basepoint too, which ``PointedMSet`` skips; the problems
-    raised are exactly the oracle's."""
+    """A valid drawn action or a table drawn row by row, each row
+    constant or drawn cell by cell, its basepoint row omitted or written
+    out, with up to three cells missing or moved, the basepoint's
+    included.  The oracle checks every square at every point, the
+    basepoint and the constant rows included, where ``PointedMSet``
+    skips the basepoint and a constant row onto a constant row; the
+    problems raised are exactly the oracle's."""
     alpha = data.draw(alphabets(max_size=4))
     m = data.draw(actions(alpha, max_elements=3, min_elements=1))
     target = st.sampled_from(m.carrier)
@@ -149,7 +151,9 @@ def test_validation_matches_the_brute_force_square_check(data):
         table = {x: {e: m.act(x, e) for e in alpha.generators}
                  for x in m.elements}
     else:
-        table = {x: {e: data.draw(target) for e in alpha.generators}
+        table = {x: dict.fromkeys(alpha.generators, data.draw(target))
+                 if data.draw(st.booleans())
+                 else {e: data.draw(target) for e in alpha.generators}
                  for x in m.elements}
     if data.draw(st.booleans()):
         table[BASEPOINT] = dict.fromkeys(alpha.generators, BASEPOINT)
@@ -170,6 +174,20 @@ def test_validation_matches_the_brute_force_square_check(data):
         assert list(exc.value.problems) == expected
     else:
         PointedMSet(alpha, m.elements, table)
+
+
+def test_a_constant_row_onto_a_split_row_fails_its_square():
+    """x0 goes to x1 under both generators, but x1 splits them, so the
+    square at x0 fails although x0's row is constant."""
+    alpha = IndependenceAlphabet(["a", "b"], [("a", "b")])
+    table = {"x0": {"a": "x1", "b": "x1"},
+             "x1": {"a": "x1", "b": BASEPOINT}}
+    expected = action_problems(alpha, ["x0", "x1"], table)
+    assert expected == [
+        "commutation fails at 'x0': (x0.a).b = * but (x0.b).a = x1"]
+    with pytest.raises(ValidationError) as exc:
+        PointedMSet(alpha, ["x0", "x1"], table)
+    assert list(exc.value.problems) == expected
 
 
 def test_same_image_always_commutes():
