@@ -15,10 +15,12 @@ into children.  Each level is one record (masks, parents, added): per
 clique, its mask, the position of the clique it extends one level down
 and the generator it adds.  Only this module reads that record; the
 cliques as name tuples and the face tables of ``chains`` are built from
-it and kept through ``_kept``.  The size of a level is the number of
-set bits in the masks below it, so it is known before the level is
-grown, and a level of more than ``_SIZE_CAP`` cliques is refused with a
-``ValidationError`` before anything is listed.
+it and kept through ``_kept``, and each face table ends with the
+record's own lists of parents and added generators.  The size of a
+level is the number of set bits in the masks below it, so it is known
+before the level is grown, and a level of more than ``_SIZE_CAP``
+cliques is refused with a ``ValidationError`` before anything is
+listed.
 
 Every other term derived from an alphabet or an action is kept on it
 through ``_kept``, in one table per owner: a kind, named by the module
@@ -197,29 +199,33 @@ def _clique_names(alpha, k):
 
 
 def _face_table(alpha, degree):
-    """The face table of the n-cliques (n >= 1): per n-clique, (face
-    index, generator position, sign) for s = 0 .. n-1, the sign being
-    (-1)^(s+1).  Built once per degree and kept on the alphabet.
+    """The face table of the n-cliques (n >= 1): one pair of int lists
+    (faces, gens) per face position s = 0 .. n-1, holding per n-clique
+    the index in level n-1 of its face K minus e_s and the position of
+    the generator e_s; the sign of that face is (-1)^(s+1).  Built once
+    per degree and kept on the alphabet.  It is not a copy, and its last
+    pair is the level record's own (parents, added): callers read it and
+    must not change it.
 
     Clique (p, j) of level n extends clique p of level n-1 by generator
-    j.  Its faces are the children (f, j) of the faces f of p, with the
-    generator and sign of f, and p itself, without j, with the sign
-    (-1)^n.  No clique is named."""
+    j.  Its face at position n-1 is p itself, without j.  At a lower
+    position s it is the child (f, j) of the face f of p at s, without
+    the generator of that face.  No clique is named."""
     return _kept(alpha, "faces", degree, _faces, alpha, degree)
 
 
 def _faces(alpha, degree):
     _, parents, added = _level(alpha, degree)
     if not parents:
-        return []
+        return [([], []) for _ in range(degree)]
     # the empty clique has no faces
-    below = _face_table(alpha, degree - 1) if degree > 1 else [[]]
+    below = _face_table(alpha, degree - 1) if degree > 1 else []
     # position in level n-1 of the clique with each (parent, generator)
     _, up, gen = _level(alpha, degree - 1)
-    child = dict(zip(zip(up, gen), range(len(up))))
-    sign = 1 if degree % 2 == 0 else -1
-    return [[(child[f, j], s, sg) for f, s, sg in below[p]] + [(p, j, sign)]
-            for p, j in zip(parents, added)]
+    child = dict(zip(zip(up, gen), range(len(up)))).__getitem__
+    return [(list(map(child, zip(map(faces.__getitem__, parents), added))),
+             list(map(gens.__getitem__, parents)))
+            for faces, gens in below] + [(parents, added)]
 
 
 def clique_counts(alpha, top=None):

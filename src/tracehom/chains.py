@@ -15,18 +15,22 @@ Bases are element-major: with p_n the number of n-cliques, basis
 element (point k, clique c) of degree n sits at index k * p_n + c.  A
 boundary is assembled from the face table of the n-cliques, which
 ``alphabet._face_table`` builds once per degree and keeps on the
-alphabet: for each n-clique, the index of each face K minus e_s in
-level n-1, the generator e_s and the sign.  This module reads the
-clique table through that table and the clique counts alone.  Rows and
+alphabet: per face position s, two int lists holding for each n-clique
+the index of its face K minus e_s in level n-1 and the position of the
+generator e_s; the sign is (-1)^(s+1).  This module reads the clique
+table through that table and the clique counts alone.  Rows and
 columns are then index arithmetic on the action's image table (each
 rank-1 point's images under the generators, as basis positions), which
-is built once per coefficient system and kept on the action.  The two
-terms of a face cancel when x.e_s = x and are left out; no other two
-terms of a column share a row, so each entry is stored once, as +-1,
-into one row-keyed dict per column.  A column left empty is not
-stored.  Row and column numbers are index objects: entries of one list
-of ints kept on the alphabet, so every boundary over it, in every
-system and for every action, keys a basis index by the same object.
+is built once per coefficient system and kept on the action.  The
+columns of one point are filled one face position at a time, so each
+column gets its entries in order of s, the image term before the own
+term.  The two terms of a face cancel when x.e_s = x and are left out;
+no other two terms of a column share a row, so each entry is stored
+once, as +-1, into one row-keyed dict per column.  A column left empty
+is not stored.  Row and column numbers are index objects: entries of
+one list of ints kept on the alphabet, so every boundary over it, in
+every system and for every action, keys a basis index by the same
+object.
 A boundary with no n-cliques, or with every rank-1 point fixed by
 every generator, is zero and is returned without a face table.  Only
 the public ``IntegerMatrix`` constructor validates entries; the
@@ -122,8 +126,8 @@ def _images(m, system):
 
 def boundary_matrix(m, system, degree):
     """Matrix of the degree-n boundary over the degree n-1 basis, filled
-    column by column from the face table of the n-cliques (see the
-    module docstring)."""
+    point by point from the face table of the n-cliques (see the module
+    docstring)."""
     if degree < 1:
         raise ValueError(f"boundary needs degree >= 1, got {degree}")
     alpha = m.alphabet
@@ -149,15 +153,19 @@ def boundary_matrix(m, system, degree):
         own = blocks[k]
         block = [own if j == -1 else j if j is None else blocks[j]
                  for j in image]
-        for col, clique_faces in enumerate(faces, k * p_up):
-            column = {}
-            for f, s, sign in clique_faces:
-                y = block[s]
+        point_columns = [{} for _ in range(p_up)]
+        # one face position at a time, so each column gets its entries
+        # in order of s, the image term before the own term
+        for s, (faces_s, gens_s) in enumerate(faces):
+            sign = 1 if s % 2 else -1
+            for column, f, e in zip(point_columns, faces_s, gens_s):
+                y = block[e]
                 if y is own:
                     continue
                 if y is not None:
                     column[y[f]] = sign
                 column[own[f]] = -sign
+        for col, column in enumerate(point_columns, k * p_up):
             if column:
                 columns[numbers[col]] = column
     return IntegerMatrix._unchecked(*shape, columns)

@@ -199,17 +199,18 @@ def _divisor_chain(values):
 
 
 def _subtract(rows, cols, i, f, prow):
-    # row_i -= f * prow, keeping the column index in step
+    # row_i -= f * prow, keeping the column index in step: i joins the
+    # line of an entry that appears and leaves that of one that cancels
     row = rows[i]
     for k, v in prow.items():
         w = row.get(k, 0) - f * v
         if w:
             if k not in row:
-                cols[k].add(i)
+                cols[k].append(i)
             row[k] = w
         else:
             del row[k]
-            cols[k].discard(i)
+            cols[k].remove(i)
 
 
 def smith_normal_form(m, drop_cols=()):
@@ -221,7 +222,11 @@ def smith_normal_form(m, drop_cols=()):
     that is not an integer raises TypeError, one outside the matrix
     ShapeError.  The stored columns that are kept become the lines of
     the elimination: copies of them are the rows of a tall matrix's
-    transpose, and their row sets are the column index of a wide one.
+    transpose, and their row lists are the column index of a wide one.
+    Rows are dicts.  Each line of the index is a list of the rows that
+    cross it: a row operation appends a row when its entry on the line
+    appears and removes it when the entry cancels, so row i is in line
+    k exactly when k is in row i.
 
     The elimination is sparse throughout.  A unit sweep comes first.  It
     takes the lines along the longer side of the matrix: the columns of
@@ -286,11 +291,11 @@ def smith_normal_form(m, drop_cols=()):
             for i in col:
                 line = cols.get(i)
                 if line is None:
-                    cols[i] = {j}
+                    cols[i] = [j]
                 else:
-                    line.add(j)
+                    line.append(j)
     else:
-        cols = {j: set(col) for j, col in kept.items()}
+        cols = {j: list(col) for j, col in kept.items()}
         rows = {}
         for j, col in kept.items():
             for i, v in col.items():
@@ -317,7 +322,7 @@ def smith_normal_form(m, drop_cols=()):
                 continue
             del rows[i]
             col = cols.pop(j)
-            col.discard(i)
+            col.remove(i)
             for k in col:
                 other = rows[k]
                 del other[j]
@@ -338,9 +343,9 @@ def smith_normal_form(m, drop_cols=()):
             continue
         prow = rows.pop(pivot)
         sign = prow.pop(j)
-        col.discard(pivot)
+        col.remove(pivot)
         for k in prow:
-            cols[k].discard(pivot)
+            cols[k].remove(pivot)
         for i in col:
             # the multiple of prow that zeroes entry (i, j)
             _subtract(rows, cols, i, rows[i].pop(j) * sign, prow)
@@ -374,7 +379,7 @@ def smith_normal_form(m, drop_cols=()):
                 prow[k] = r
             else:
                 del prow[k]
-                cols[k].discard(pivot)
+                cols[k].remove(pivot)
         if len(prow) > 1:
             continue
         factors.append(abs(a))

@@ -737,14 +737,15 @@ def reference_boundary(m, system, degree):
 
 def reference_face_table(alpha, degree):
     """The face table of the n-cliques, as ``alphabet._face_table``
-    gives it, found from the cliques as name tuples: each face K minus
-    e_s is looked up by name in level n-1."""
+    gives it, found from the cliques as name tuples: per face position
+    s, the index of each face K minus e_s, looked up by name in level
+    n-1, and the position of e_s among the generators."""
     position = {g: s for s, g in enumerate(alpha.generators)}
     face_index = {K: f for f, K in
                   enumerate(enumerate_cliques(alpha, degree - 1))}
-    return [[(face_index[K[:s] + K[s + 1:]], position[K[s]],
-              1 if s % 2 else -1) for s in range(len(K))]
-            for K in enumerate_cliques(alpha, degree)]
+    cliques = enumerate_cliques(alpha, degree)
+    return [([face_index[K[:s] + K[s + 1:]] for K in cliques],
+             [position[K[s]] for K in cliques]) for s in range(degree)]
 
 
 def random_mset(rng, alpha, max_elements=4):

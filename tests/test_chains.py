@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+from copy import deepcopy
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -577,7 +578,10 @@ def test_face_tables_from_masks_on_sd2_rp2():
     # the homology path builds the tables without naming a clique
     assert "names" not in alpha._kept
     kept = alpha._kept["faces"]
-    assert [len(kept[n]) for n in range(1, 5)] == [181, 540, 360, 0]
+    # one pair of lists per face position, one entry per clique
+    assert [len(kept[n]) for n in range(1, 5)] == [1, 2, 3, 4]
+    assert [len(lst) for n in range(1, 5) for pair in kept[n]
+            for lst in pair] == [181] * 2 + [540] * 4 + [360] * 6 + [0] * 8
 
 
 def test_each_face_table_is_built_once(monkeypatch):
@@ -602,6 +606,50 @@ def test_each_face_table_is_built_once(monkeypatch):
     assert sorted(built) == [("faces", n) for n in range(1, 7)]
     homology(x0_mset(alpha), DELTA)
     assert sorted(built) == [("faces", n) for n in range(1, 7)]
+
+
+def check_kept_tables_left_alone(m):
+    """Every face table of m's alphabet is built and copied, with the
+    clique records, before any complex is; then the complex of every
+    system is built and reduced, and neither has changed.  The last
+    pair of each face table is its level's own record, and the degree-1
+    table is the one the alphabet starts with, so a builder that wrote
+    into a face table would change the cliques too."""
+    alpha = m.alphabet
+    for n in range(1, max_clique_size(alpha) + 2):
+        alphabet._face_table(alpha, n)
+    before = deepcopy((alpha._cliques, alpha._kept["faces"]))
+    for system in SYSTEMS.values():
+        homology_of_complex(build_complex(m, system))
+    assert (alpha._cliques, alpha._kept["faces"]) == before
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kept_tables_left_alone_on_drawn_actions(data):
+    alpha = data.draw(alphabets(max_size=8))
+    check_kept_tables_left_alone(data.draw(actions(alpha)))
+
+
+def test_kept_tables_left_alone_on_sd2_rp2():
+    check_kept_tables_left_alone(fan_mset(sd2_rp2()))
+
+
+def test_reduction_leaves_its_maps_alone():
+    """DELTA on sd2(RP2) under a fan of two has a tall top map, reduced
+    as its transpose, and a wide d_2 whose reduction drops the columns
+    that the top map's unit pivots account for.  Reducing the complex
+    leaves every map's columns as they were.  That matters beyond the
+    contract: the benchmark's traced pass counts the nonzeros a
+    reduction was given from its argument's entries after the call, so
+    a map the reduction consumed would report its leftover instead,
+    which depends on the pivot order."""
+    maps = build_complex(fan_mset(sd2_rp2()), DELTA)
+    assert maps[3].rows > maps[3].cols and maps[2].rows < maps[2].cols
+    assert smith_normal_form(maps[3]).pivot_rows
+    before = deepcopy([d.columns for d in maps])
+    homology_of_complex(maps)
+    assert [d.columns for d in maps] == before
 
 
 

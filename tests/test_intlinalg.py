@@ -399,6 +399,39 @@ def test_snf_reduces_a_large_block_without_unit_entries_sparse():
     assert (result.pivot_rows, result.leftover) == ((), (n, n))
 
 
+def test_snf_line_index_follows_an_entry_that_comes_back(monkeypatch):
+    """Each line lists the rows that cross it, and a row operation must
+    add a row to a line only when its entry there is new, and take out
+    that row alone when the entry cancels.  Here the sweep's pivots in
+    columns 0, 1 and 2 make entry (3, 3) appear, cancel and reappear,
+    and row 4 joins line 3 after row 3 does; the 2 x 2 block the sweep
+    leaves holds the factor 6."""
+    matrix = [[1, 0, 0, 1, 1, 0],
+              [0, 1, 0, -1, 0, 0],
+              [0, 0, 1, 1, 0, 0],
+              [1, 1, 1, 0, 2, 0],
+              [2, 0, 0, 0, 0, 3],
+              [0, 0, 0, 0, 2, 0]]
+    changes = []
+    subtract = intlinalg._subtract
+
+    def recording(rows, cols, i, f, prow):
+        before = set(rows[i])
+        subtract(rows, cols, i, f, prow)
+        changes.extend(("+", i, k) for k in sorted(rows[i].keys() - before))
+        changes.extend(("-", i, k) for k in sorted(before - rows[i].keys()))
+
+    monkeypatch.setattr(intlinalg, "_subtract", recording)
+    result = snf_of(matrix)
+    assert [c for c in changes if c[1:] == (3, 3)] == \
+        [("+", 3, 3), ("-", 3, 3), ("+", 3, 3)]
+    assert changes.index(("+", 4, 3)) < changes.index(("-", 3, 3))
+    assert list(result.invariant_factors) == determinantal_factors(matrix) \
+        == [1] * 5 + [6]
+    assert result.rank == bareiss_rank(matrix)
+    assert (result.pivot_rows, result.leftover) == ((0, 1, 2, 3), (2, 2))
+
+
 def test_snf_ignores_zero_rows_and_columns():
     rng = random.Random(98)
     for _ in range(40):
