@@ -218,11 +218,12 @@ def smith_normal_form(m, drop_cols=()):
 
     The columns of ``m`` listed in ``drop_cols`` are left out: the result
     is that of ``m`` without them, and the shape that decides the
-    orientation below is that of the kept columns.  A column to drop
+    orientation below is that of the columns left.  A column to drop
     that is not an integer raises TypeError, one outside the matrix
-    ShapeError.  The stored columns that are kept become the lines of
-    the elimination: copies of them are the rows of a tall matrix's
-    transpose, and their row lists are the column index of a wide one.
+    ShapeError.  One pass over the stored columns reads the lines of
+    the elimination, skipping each column to drop where it reads it: a
+    copy of the column is a row of a tall matrix's transpose, its row
+    list a line of the column index of a wide one.
     Rows are dicts.  Each line of the index is a list of the rows that
     cross it: a row operation appends a row when its entry on the line
     appears and removes it when the entry cancels, so row i is in line
@@ -276,28 +277,24 @@ def smith_normal_form(m, drop_cols=()):
         if low < 0 or high >= m.cols:
             raise ShapeError(f"drop column {low if low < 0 else high} "
                              f"outside {m.rows}x{m.cols}")
-    if m.rows == 0 or m.cols == len(drop) or not m.columns:
-        return SNFResult(())
-    kept = m.columns
-    if drop:
-        kept = {j: col for j, col in kept.items() if j not in drop}
     # rows and cols name the lines of the matrix that is eliminated: m
-    # itself, or m^T when m is tall, whose rows are the kept columns
+    # itself, or m^T when m is tall, whose rows are the columns left
     flip = m.rows > m.cols - len(drop)
-    if flip:
-        rows = {j: dict(col) for j, col in kept.items()}
-        cols = {}
-        for j, col in kept.items():
+    rows = {}
+    cols = {}
+    for j, col in m.columns.items():
+        if j in drop:
+            continue
+        if flip:
+            rows[j] = dict(col)
             for i in col:
                 line = cols.get(i)
                 if line is None:
                     cols[i] = [j]
                 else:
                     line.append(j)
-    else:
-        cols = {j: list(col) for j, col in kept.items()}
-        rows = {}
-        for j, col in kept.items():
+        else:
+            cols[j] = list(col)
             for i, v in col.items():
                 row = rows.get(i)
                 if row is None:
@@ -505,7 +502,8 @@ def homology_of_complex(boundaries):
     Each map is handed to the kernel whole, with the columns to drop
     named beside it, so that what a caller sees going in (its shape and
     entries) depends on the complex alone; which columns are dropped
-    depends on the kernel's pivot order.
+    depends on the kernel's pivot order.  The kernel skips them as it
+    reads the map; the product above reads the one filtered copy.
 
     >>> two = IntegerMatrix(1, 1, {(0, 0): 2})
     >>> homology_of_complex([IntegerMatrix(0, 1), two, IntegerMatrix(1, 0)])

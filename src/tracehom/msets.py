@@ -39,11 +39,13 @@ class PointedMSet:
     and violated commutation square.  The validated table is held as
     one ``{generator: target}`` dict per carrier point, in carrier
     order; the commutation squares and the chain complex's image table
-    read it row by row.  The action never changes after validation, so
-    what other modules derive from it is kept on it (``alphabet._kept``).
+    read it row by row, and ``check_conditions`` reads the common image
+    of each point whose generators agree, worked out here.  The action
+    never changes after validation, so what other modules derive from
+    it is kept on it (``alphabet._kept``).
     """
 
-    __slots__ = ("alphabet", "elements", "_rows", "_kept")
+    __slots__ = ("alphabet", "elements", "_rows", "_common", "_kept")
 
     def __init__(self, alphabet, elements, action):
         problems = []
@@ -91,7 +93,14 @@ class PointedMSet:
                     problems.append(f"basepoint moved: *.{e!r} = {y!r}")
                 else:
                     targets[e] = y
+        common = {}
         if not problems:
+            # the common image of each point whose generators agree; with
+            # no generators, a point is its own image
+            for x, row in rows.items():
+                images = set(row.values()) or {x}
+                if len(images) == 1:
+                    common[x] = images.pop()
             # the squares at the elements, in any order: those at '*'
             # hold, as its row is all '*'.  So do those at a constant
             # row x -> y whose image's row is constant too, as
@@ -99,12 +108,6 @@ class PointedMSet:
             # any, sorted by pair and then by carrier point
             failures = []
             pairs = alphabet.pairs
-            common = {}
-            if pairs:
-                for x, row in rows.items():
-                    images = set(row.values())
-                    if len(images) == 1:
-                        common[x] = images.pop()
             for k, x in enumerate(carrier[:-1]):
                 if common.get(x) in common:
                     continue
@@ -123,6 +126,7 @@ class PointedMSet:
         self.alphabet = alphabet
         self.elements = elems
         self._rows = rows
+        self._common = common
         self._kept = {}
 
     @property
@@ -194,15 +198,11 @@ def check_conditions(m):
     the basepoint's self-loop is not counted, and a path that reaches
     the basepoint ends in no cycle.
     """
+    successor = m._common
     violations = []
-    successor = {}
     for x in m.elements:
-        row = m._rows[x]
-        images = set(row.values()) or {x}
-        if len(images) == 1:
-            successor[x] = images.pop()
-        else:
-            pairs = ", ".join(f"{x}.{e} = {y}" for e, y in row.items())
+        if x not in successor:
+            pairs = ", ".join(f"{x}.{e} = {y}" for e, y in m._rows[x].items())
             violations.append(f"action not full at {x!r}: {pairs}")
     cycles = 0
     seen = {BASEPOINT}

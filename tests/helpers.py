@@ -61,6 +61,22 @@ def sd2_rp2():
     return barycentric_flagification(enumerate_cliques(sd1, 3))
 
 
+def join(alpha, beta):
+    """Alphabet whose clique complex is the join of the clique complexes
+    of alpha and beta: alpha's generators, prefixed 'l.', then beta's,
+    prefixed 'r.', so that no two names clash; each keeps its own
+    independence pairs, and every generator of one is independent of
+    every generator of the other.  A clique of the join is a clique of
+    alpha beside a clique of beta, so it has clique counts
+    c_k = sum over i + j = k of a_i b_j."""
+    left = [f"l.{g}" for g in alpha.generators]
+    right = [f"r.{g}" for g in beta.generators]
+    pairs = [(f"l.{a}", f"l.{b}") for a, b in alpha.pairs]
+    pairs += [(f"r.{a}", f"r.{b}") for a, b in beta.pairs]
+    pairs += [(a, b) for a in left for b in right]
+    return IndependenceAlphabet(left + right, pairs)
+
+
 def _bareiss(rows):
     """Fraction-free Gaussian elimination: the rank over the rationals,
     and the last pivot, which is up to sign the determinant of a
@@ -562,6 +578,30 @@ def successor_cycles(successor):
         if x in path:
             cycles.append(tuple(path[path.index(x):]))
     return cycles
+
+
+def conditions_oracle(m):
+    """(full, the elements where the generators disagree, in element
+    order, the number of cycles among the elements) of an action, found
+    from ``act`` alone.
+
+    An element x where all generators agree goes to their common
+    image; with no generators it is fixed.  An element where they
+    disagree has no edge, so it is sent to the basepoint here, which
+    puts it on no cycle and ends every path through it;
+    ``successor_cycles`` then lists the cycles, and the basepoint's
+    loop is not counted."""
+    gens = m.alphabet.generators
+    successor, disagree = {}, []
+    for x in m.elements:
+        if not gens:
+            successor[x] = x
+        elif all(m.act(x, e) == m.act(x, gens[0]) for e in gens):
+            successor[x] = m.act(x, gens[0])
+        else:
+            successor[x] = BASEPOINT
+            disagree.append(x)
+    return not disagree, disagree, len(successor_cycles(successor)) - 1
 
 
 #: (rank at an element, rank at the basepoint) of each coefficient system

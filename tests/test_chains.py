@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import (RP2_TRIANGLES, actions, alphabets, as_pairs,
                      assert_column_storage, change_one_entry,
                      closed_form_homology, composes_to_zero,
-                     degree_zero_rank, mod_p_betti, moore_faces,
+                     degree_zero_rank, join, mod_p_betti, moore_faces,
                      pair_route_homology, random_alphabet, random_matrix,
                      random_mset, rank_mod, rank_mod_p_sparse,
                      reference_boundary, reference_face_table,
@@ -450,6 +450,26 @@ def test_z4_is_told_apart_from_z2_squared():
     assert homology(fan, PUNCTURED)[2] == AbelianGroup(0, (2, 2))
     assert mod_p_betti(build_complex(x0, PUNCTURED), 2) == [0, 0, 1, 1]
     assert mod_p_betti(build_complex(fan, PUNCTURED), 2) == [0, 0, 2, 2]
+
+
+@pytest.mark.parametrize("n, counts, groups", [
+    (3, [1, 110, 2779, 14772, 31362, 28980, 9720], [ZERO] * 7),
+    (4, [1, 134, 3601, 19404, 41496, 38520, 12960],
+     [ZERO] * 4 + [AbelianGroup(0, (2,))] * 2 + [ZERO]),
+])
+def test_two_point_action_over_a_join(n, counts, groups):
+    """PUNCTURED H_k of the two-point action over sd(RP2) * M(Z/n) is
+    H~_k-1 of the join.  By Milnor's join formula H~_k+1(A * B) is the
+    sum of H~_i(A) (x) H~_j(B) over i + j = k and of Tor(H~_i(A),
+    H~_j(B)) over i + j = k - 1.  Here only H~_1 is nonzero on each
+    side, Z/2 and Z/n, so the join has Z/2 (x) Z/n in degree 3 and
+    Tor(Z/2, Z/n) in degree 4, each Z/gcd(2, n): zero for n = 3, and
+    Z/2 in degrees 4 and 5 of the action for n = 4."""
+    alpha = join(barycentric_flagification(RP2_TRIANGLES),
+                 barycentric_flagification(moore_faces(n)))
+    assert clique_counts(alpha) == counts
+    with time_limit(60):
+        assert homology(x0_mset(alpha), PUNCTURED) == groups
 
 
 def test_kept_homology_is_handed_out_as_a_fresh_list():

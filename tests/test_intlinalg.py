@@ -218,9 +218,26 @@ def test_snf_three_by_three():
 
 
 def test_snf_zero_and_empty():
+    """A matrix with no rows, no columns, no entries or no column left
+    after the drop, wide or tall, gives no factor, no unit pivot and no
+    leftover block.  SNFResult equality compares the factors alone, so
+    the whole record is compared field by field."""
+    wide = IntegerMatrix.from_rows([[1, 2, 0], [0, -1, 3]])
+    tall = IntegerMatrix.from_rows([[1, 2], [0, -1], [4, 0]])
+    cases = [
+        (IntegerMatrix(0, 5), ()),
+        (IntegerMatrix(5, 0), ()),
+        (IntegerMatrix.from_rows([[0, 0, 0], [0, 0, 0]]), ()),
+        (IntegerMatrix.from_rows([[0, 0], [0, 0], [0, 0]]), ()),
+        (IntegerMatrix(0, 3), [0, 2]),
+        (wide, [0, 1, 2]),
+        (tall, [1, 0]),
+    ]
+    for m, drop in cases:
+        snf = smith_normal_form(m, drop)
+        assert (snf.invariant_factors, snf.pivot_rows, snf.leftover) == \
+            ((), (), (0, 0)), (m, drop)
     assert snf_of([[0, 0], [0, 0]]) == SNFResult(())
-    assert smith_normal_form(IntegerMatrix(0, 5)) == SNFResult(())
-    assert smith_normal_form(IntegerMatrix(5, 0)) == SNFResult(())
 
 
 def test_snf_single_negative_entry():

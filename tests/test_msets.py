@@ -3,8 +3,8 @@ import time
 
 import pytest
 from helpers import (action_problems, actions, alphabets, brute_force_iso,
-                     random_alphabet, random_mset, relabel_elements,
-                     time_limit)
+                     conditions_oracle, random_alphabet, random_mset,
+                     relabel_elements, successor_maps, time_limit)
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -285,6 +285,32 @@ def test_check_conditions_counts_a_two_cycle():
     report = check_conditions(two_cycle)
     assert report.full and report.cycles == 1
     assert report.violations == ()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_check_conditions_matches_the_brute_force_oracle(data):
+    """Over drawn alphabets, some with no generators, a full
+    action from a drawn successor map or an action drawn by ``actions``,
+    which is full only now and then: the report's fullness, its cycle
+    count and its violations, one per element where the generators
+    disagree, in element order, with that element's row in generator
+    order, are the oracle's."""
+    alpha = data.draw(alphabets(max_size=4))
+    if data.draw(st.booleans()):
+        m = full_action_from_successor(alpha, data.draw(successor_maps()))
+    else:
+        m = data.draw(actions(alpha, max_elements=5))
+    full, disagree, cycles = conditions_oracle(m)
+    event("full" if full else "not full")
+    if not alpha.generators:
+        event("no generators")
+    report = check_conditions(m)
+    assert (report.full, report.cycles) == (full, cycles)
+    assert list(report.violations) == [
+        f"action not full at {x!r}: " + ", ".join(
+            f"{x}.{e} = {m.act(x, e)}" for e in alpha.generators)
+        for x in disagree]
 
 
 # --- isomorphism search --------------------------------------------------
